@@ -10,9 +10,9 @@ use crate::time::{Dur, Time};
 ///
 /// Device models (NICs, switches) capture a `SimHandle` and use
 /// [`SimHandle::call_after`] to schedule their internal state transitions.
-/// All scheduled closures run on the kernel thread, serialized with every
-/// simulated process, so device state guarded by a mutex is effectively
-/// single-threaded.
+/// All scheduled closures run in the scheduler loop of
+/// [`crate::Simulation::run`], serialized with every simulated process, so
+/// device state guarded by a mutex is effectively single-threaded.
 #[derive(Clone)]
 pub struct SimHandle {
     pub(crate) shared: Arc<Shared>,

@@ -1,34 +1,43 @@
 //! The event kernel: a priority queue of timed events plus a set of
 //! cooperative simulated processes.
 //!
-//! Simulated processes are real OS threads, but **exactly one** of them
-//! runs at any instant. Event ordering is `(time, insertion sequence)`, so
-//! identical programs produce identical schedules — the whole simulation
-//! is a deterministic function of its inputs.
+//! Every simulated process is a stackful coroutine ([`crate::coro`]), and
+//! all of them run on the one OS thread that calls [`Simulation::run`], so
+//! **exactly one** of them runs at any instant. Event ordering is
+//! `(time, insertion sequence)`, so identical programs produce identical
+//! schedules — the whole simulation is a deterministic function of its
+//! inputs.
 //!
-//! ## Dispatch model: the driver token
+//! ## Dispatch model: one scheduler loop
 //!
-//! There is no dedicated kernel thread while the simulation runs. The
-//! dispatch loop ([`drive`]) executes on whichever thread holds the
-//! *driver token* — initially the controller thread inside
-//! [`Simulation::run`], and from then on whichever simulated process most
-//! recently parked or finished. When a process gives up control it does
-//! not bounce through a scheduler thread: it drives the event queue
-//! forward itself, executing device callbacks ([`Event::Call`]) inline and
-//! batching runs of same-timestamp callbacks under a single lock
-//! acquisition. Control transfers to another OS thread only when a
-//! [`Event::Wake`] for a *different* process is dispatched (one
-//! gate-wake + one context switch), and a wake for the driving process
-//! itself costs no switch at all. The original design paid two context
-//! switches and four channel operations per wake; this one pays at most
-//! one switch, which is what moves the kernel from ~150k to deep into the
-//! hundreds of thousands of events per second on one core.
+//! [`Simulation::run`] is a plain loop on the caller's stack. It pops the
+//! next event under the state lock, then — with the lock released —
+//! either runs the device callbacks ([`Event::Call`]) inline, batching
+//! runs of same-timestamp callbacks under a single lock acquisition, or,
+//! for an [`Event::Wake`], switches into that process's coroutine. The
+//! process runs until it parks ([`Proc`]'s blocking calls all end in a
+//! switch back to the loop) or its body ends. A wake therefore costs two
+//! user-space register switches and no OS scheduling at all.
 //!
-//! Hot-path state ([`KernelState`]) is touched exactly once per dispatched
-//! wake (pop + accounting + handoff under one lock). The state mutex
-//! remains — device models and processes schedule events from their own
-//! threads — but it is uncontended by construction: only the active thread
-//! takes it, except for the brief handoff window.
+//! Panics never unwind across a switch: a process body runs under
+//! `catch_unwind` on its own stack, and the loop runs each callback batch
+//! under `catch_unwind` on the caller's. Either kind of panic ends the run
+//! with [`SimError::ProcPanic`].
+//!
+//! Hot-path state ([`KernelState`]) sits behind a mutex because handles
+//! are `Send` and may be used from any thread before `run`; during a run
+//! it is uncontended by construction. The loop never holds the guard
+//! across a switch — a std mutex re-locked on one thread deadlocks.
+//!
+//! ## Teardown
+//!
+//! Once the outcome is decided, every unfinished process is resumed with
+//! [`Go::Shutdown`], one at a time in spawn order: the loop keeps resuming
+//! the same process (each park returns `Shutdown` again) until its body
+//! ends, and only then moves to the next. A process that parks while
+//! unwinding therefore never hands the thread — and with it the
+//! thread-local "panicking" flag that `Drop` impls consult — to another
+//! process.
 //!
 //! ## Clock monotonicity
 //!
@@ -42,7 +51,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::gate::Gate;
+use crate::coro::{Coroutine, Outcome};
 use crate::handle::SimHandle;
 use crate::proc::{Proc, ShutdownUnwind};
 use crate::queue::{default_queue_kind, EventQueue, QueueKind};
@@ -67,10 +76,21 @@ impl std::fmt::Display for ProcId {
 }
 
 /// Command handed to a parked process when it is woken.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub(crate) enum Go {
-    Run,
-    Shutdown,
+    Run = 0,
+    Shutdown = 1,
+}
+
+impl Go {
+    /// Decode the value a coroutine switch carried (`Go as usize`).
+    pub(crate) fn from_raw(raw: usize) -> Go {
+        if raw == Go::Run as usize {
+            Go::Run
+        } else {
+            Go::Shutdown
+        }
+    }
 }
 
 /// Why a parked process is parked. Used by the termination logic: when the
@@ -97,7 +117,18 @@ pub(crate) struct ProcSlot {
     pub daemon: bool,
     pub finished: bool,
     pub park: ParkKind,
-    pub gate: Arc<Gate>,
+    /// The process's execution context; dropped once the body has ended.
+    pub coro: Option<Arc<Coroutine>>,
+}
+
+impl ProcSlot {
+    fn coro_ptr(&self) -> *const Coroutine {
+        Arc::as_ptr(
+            self.coro
+                .as_ref()
+                .expect("unfinished process has a coroutine"),
+        )
+    }
 }
 
 /// Chunked slab for [`ProcSlot`]s: pushes never move existing slots, so
@@ -144,6 +175,10 @@ impl ProcArena {
     pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &ProcSlot)> {
         self.chunks.iter().flatten().enumerate()
     }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut ProcSlot> {
+        self.chunks.iter_mut().flatten()
+    }
 }
 
 /// FNV-1a offset basis / prime for the schedule hash.
@@ -162,7 +197,7 @@ pub(crate) struct KernelState {
     pub procs: ProcArena,
     /// Daemons are being shut down; waits observe `Wait::Shutdown`.
     pub shutdown: bool,
-    /// The run outcome is decided; no thread may drive any further.
+    /// The run outcome is decided; no further event is dispatched.
     pub teardown: bool,
     pub result: Option<Result<Report, SimError>>,
     pub events_processed: u64,
@@ -214,7 +249,7 @@ impl KernelState {
         self.schedule_hash = h;
     }
 
-    /// Decide the run outcome (first decision wins) and stop all driving.
+    /// Decide the run outcome (first decision wins) and stop dispatching.
     fn finish(&mut self, result: Result<Report, SimError>) {
         if self.result.is_none() {
             self.result = Some(result);
@@ -242,18 +277,19 @@ pub(crate) struct Shared {
     pub state: Mutex<KernelState>,
     /// Mirror of `state.now` for lock-free clock reads (`SimHandle::now`).
     pub now_ns: AtomicU64,
-    /// Gate the controller thread waits on inside [`Simulation::run`].
-    pub controller: Gate,
-    /// Join handles of spawned process threads (collected at the end of run).
-    pub joins: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
+
+/// The `proc` of a [`SimError::ProcPanic`] raised by a device callback
+/// rather than by a process body.
+pub const CALLBACK_PROC: &str = "<device callback>";
 
 /// Error terminating a simulation run.
 #[derive(Debug)]
 pub enum SimError {
     /// A simulated process panicked.
     ProcPanic {
-        /// Name the process was spawned with.
+        /// Name the process was spawned with, or [`CALLBACK_PROC`] when a
+        /// device callback panicked.
         proc: String,
         /// The panic payload, stringified.
         message: String,
@@ -334,147 +370,139 @@ impl Report {
     }
 }
 
-/// What a [`drive`] call did on behalf of the calling thread.
-pub(crate) enum Driven {
-    /// The caller's own wake was dispatched: resume running immediately
-    /// (no context switch).
-    Resume,
-    /// The driver token moved to another thread; the caller should wait on
-    /// its gate (parked processes) or exit (finished ones / controller).
-    Transferred,
-    /// The run outcome was decided; the caller should observe shutdown.
+/// What the scheduler loop does next, decided under the state lock.
+enum Step {
+    /// Run the batch of same-timestamp callbacks just collected.
+    Calls,
+    /// Switch into a process with the given command. The pointer comes
+    /// from the process's slot, whose `Arc` keeps the coroutine alive until
+    /// [`resume`] sees it finish.
+    Resume(ProcId, *const Coroutine, Go),
+    /// The run outcome is decided.
     Ended,
 }
 
-/// Dispatch events on the calling thread until control must leave it.
-///
-/// `me` is the calling process when it is parking (so a wake for itself is
-/// a free resume), or `None` for the controller and finished processes.
-pub(crate) fn drive(shared: &Arc<Shared>, me: Option<ProcId>) -> Driven {
-    enum Action {
-        RunCalls,
-        Resume,
-        Transfer(Arc<Gate>, Go),
-        Ended,
+/// Pop the next event(s) and decide the next [`Step`]. Callbacks are moved
+/// into `calls`; the guard is released before anything runs.
+fn next_step(shared: &Shared, calls: &mut Vec<CallFn>) -> Step {
+    let mut st = shared.state.lock();
+    if st.teardown {
+        return Step::Ended;
     }
-
-    let handle = SimHandle::new(shared.clone());
-    let mut calls: Vec<CallFn> = Vec::new();
     loop {
-        let action = {
-            let mut st = shared.state.lock();
-            if st.teardown {
-                Action::Ended
-            } else {
-                loop {
-                    if st.events_processed >= st.event_limit {
-                        let limit = st.event_limit;
-                        st.finish(Err(SimError::EventLimit { limit }));
-                        break Action::Ended;
+        if st.events_processed >= st.event_limit {
+            let limit = st.event_limit;
+            st.finish(Err(SimError::EventLimit { limit }));
+            return Step::Ended;
+        }
+        let Some((t, _seq, ev)) = st.queue.pop() else {
+            // Queue drained: completion, daemon shutdown, or deadlock.
+            // Every unfinished process is parked (only the loop runs).
+            let mut parked_nondaemon = Vec::new();
+            let mut first_daemon = None;
+            for (idx, slot) in st.procs.iter() {
+                if slot.finished {
+                    continue;
+                }
+                if slot.daemon {
+                    if first_daemon.is_none() {
+                        first_daemon = Some(idx);
                     }
-                    let Some((t, _seq, ev)) = st.queue.pop() else {
-                        // Queue drained: completion, daemon shutdown, or
-                        // deadlock. Every unfinished process is parked (the
-                        // driver token is here, so nothing else runs).
-                        let mut parked_nondaemon = Vec::new();
-                        let mut first_daemon = None;
-                        for (idx, slot) in st.procs.iter() {
-                            if slot.finished {
-                                continue;
-                            }
-                            if slot.daemon {
-                                if first_daemon.is_none() {
-                                    first_daemon = Some(idx);
-                                }
-                            } else {
-                                parked_nondaemon.push(slot.name.clone());
-                            }
-                        }
-                        if !parked_nondaemon.is_empty() {
-                            st.finish(Err(SimError::Deadlock {
-                                parked: parked_nondaemon,
-                            }));
-                            break Action::Ended;
-                        }
-                        let Some(idx) = first_daemon else {
-                            let report = st.report();
-                            st.finish(Ok(report));
-                            break Action::Ended;
-                        };
-                        // Shut daemons down one at a time, in spawn order;
-                        // each one finishing drives us back here for the next.
-                        st.shutdown = true;
-                        let slot = st.procs.get_mut(idx);
-                        slot.park = ParkKind::Running;
-                        break Action::Transfer(slot.gate.clone(), Go::Shutdown);
-                    };
-                    // Hard invariant in every build profile: the virtual
-                    // clock is monotone (push_event clamps, so this can
-                    // only fire on a kernel bug).
-                    assert!(t >= st.now, "virtual clock would move backwards");
-                    st.now = t;
-                    shared.now_ns.store(t.as_ns(), Ordering::Release);
-                    st.events_processed += 1;
-                    match ev {
-                        Event::Call(f) => {
-                            st.calls_executed += 1;
-                            st.fold_hash(t, HASH_CALL, 0);
-                            calls.push(f);
-                            // Batch-drain the run of same-timestamp callbacks
-                            // without re-locking between them.
-                            while st.events_processed < st.event_limit
-                                && st.queue.next_is_call_at(t)
-                            {
-                                let Some((_, _, Event::Call(f2))) = st.queue.pop() else {
-                                    unreachable!("probe said next is a call");
-                                };
-                                st.events_processed += 1;
-                                st.calls_executed += 1;
-                                st.fold_hash(t, HASH_CALL, 0);
-                                calls.push(f2);
-                            }
-                            break Action::RunCalls;
-                        }
-                        Event::Wake(pid) => {
-                            let slot = st.procs.get_mut(pid.index());
-                            if slot.finished {
-                                // A stale wake (e.g. the leftover timer of a
-                                // wait that raced its signal): skip it, and
-                                // keep it out of the headline throughput.
-                                st.stale_wakes += 1;
-                                st.fold_hash(t, HASH_STALE, pid.0 as u64);
-                                continue;
-                            }
-                            slot.park = ParkKind::Running;
-                            let gate = slot.gate.clone();
-                            st.wakes_executed += 1;
-                            st.fold_hash(t, HASH_WAKE, pid.0 as u64);
-                            if me == Some(pid) {
-                                break Action::Resume;
-                            }
-                            break Action::Transfer(gate, Go::Run);
-                        }
-                    }
+                } else {
+                    parked_nondaemon.push(slot.name.clone());
                 }
             }
+            if !parked_nondaemon.is_empty() {
+                st.finish(Err(SimError::Deadlock {
+                    parked: parked_nondaemon,
+                }));
+                return Step::Ended;
+            }
+            let Some(idx) = first_daemon else {
+                let report = st.report();
+                st.finish(Ok(report));
+                return Step::Ended;
+            };
+            // Shut daemons down one at a time, in spawn order; each one
+            // finishing brings the loop back here for the next.
+            st.shutdown = true;
+            let slot = st.procs.get_mut(idx);
+            slot.park = ParkKind::Running;
+            return Step::Resume(ProcId(idx as u32), slot.coro_ptr(), Go::Shutdown);
         };
-        match action {
-            Action::RunCalls => {
-                for f in calls.drain(..) {
-                    f(&handle);
+        // Hard invariant in every build profile: the virtual clock is
+        // monotone (push_event clamps, so this can only fire on a kernel
+        // bug).
+        assert!(t >= st.now, "virtual clock would move backwards");
+        st.now = t;
+        shared.now_ns.store(t.as_ns(), Ordering::Release);
+        st.events_processed += 1;
+        match ev {
+            Event::Call(f) => {
+                st.calls_executed += 1;
+                st.fold_hash(t, HASH_CALL, 0);
+                calls.push(f);
+                // Batch-drain the run of same-timestamp callbacks without
+                // re-locking between them.
+                while st.events_processed < st.event_limit && st.queue.next_is_call_at(t) {
+                    let Some((_, _, Event::Call(f2))) = st.queue.pop() else {
+                        unreachable!("probe said next is a call");
+                    };
+                    st.events_processed += 1;
+                    st.calls_executed += 1;
+                    st.fold_hash(t, HASH_CALL, 0);
+                    calls.push(f2);
                 }
+                return Step::Calls;
             }
-            Action::Resume => return Driven::Resume,
-            Action::Transfer(gate, go) => {
-                gate.wake(go);
-                return Driven::Transferred;
-            }
-            Action::Ended => {
-                shared.controller.wake(Go::Run);
-                return Driven::Ended;
+            Event::Wake(pid) => {
+                let slot = st.procs.get_mut(pid.index());
+                if slot.finished {
+                    // A stale wake (e.g. the leftover timer of a wait that
+                    // raced its signal): skip it, and keep it out of the
+                    // headline throughput.
+                    st.stale_wakes += 1;
+                    st.fold_hash(t, HASH_STALE, pid.0 as u64);
+                    continue;
+                }
+                slot.park = ParkKind::Running;
+                let coro = slot.coro_ptr();
+                st.wakes_executed += 1;
+                st.fold_hash(t, HASH_WAKE, pid.0 as u64);
+                return Step::Resume(pid, coro, Go::Run);
             }
         }
     }
+}
+
+/// Switch into `pid` until it parks or finishes; on finish, mark it done
+/// and record a real panic as the run outcome.
+fn resume(shared: &Shared, pid: ProcId, coro: *const Coroutine, go: Go) {
+    // SAFETY: see `Step::Resume`; only this function takes the `Arc` out
+    // of the slot, after the coroutine has finished, and the kernel-state
+    // guard is not held across the switch.
+    let Some(outcome) = unsafe { &*coro }.resume(go) else {
+        return;
+    };
+    let panic_msg = panic_message(outcome);
+    let mut st = shared.state.lock();
+    let slot = st.procs.get_mut(pid.index());
+    slot.finished = true;
+    slot.coro = None;
+    if let Some(message) = panic_msg {
+        let proc = slot.name.clone();
+        st.finish(Err(SimError::ProcPanic { proc, message }));
+    }
+}
+
+/// The message of a real panic; `None` for a clean return or the forced
+/// unwind of teardown.
+fn panic_message(outcome: Outcome) -> Option<String> {
+    let payload = outcome.err()?;
+    if payload.is::<ShutdownUnwind>() {
+        return None;
+    }
+    Some(payload_to_string(&*payload))
 }
 
 pub(crate) fn spawn_proc(
@@ -483,75 +511,20 @@ pub(crate) fn spawn_proc(
     daemon: bool,
     f: impl FnOnce(Proc) + Send + 'static,
 ) -> ProcId {
-    let gate = Arc::new(Gate::new());
-    let pid;
-    {
-        let mut st = shared.state.lock();
-        pid = ProcId(st.procs.len() as u32);
-        st.procs.push(ProcSlot {
-            name: name.to_string(),
-            daemon,
-            finished: false,
-            park: ParkKind::Timer, // will be woken by the spawn event
-            gate: gate.clone(),
-        });
-        let at = st.now;
-        st.push_event(at, Event::Wake(pid));
-    }
-    let proc = Proc::new(pid, shared.clone(), gate.clone());
+    let mut st = shared.state.lock();
+    let pid = ProcId(st.procs.len() as u32);
     let shared2 = shared.clone();
-    let thread_name = format!("sim-{name}");
-    let join = std::thread::Builder::new()
-        .name(thread_name)
-        .spawn(move || {
-            gate.register();
-            // Wait for the kernel to schedule our first run.
-            match gate.wait() {
-                Go::Run => {}
-                Go::Shutdown => {
-                    finish_proc(&shared2, pid, None);
-                    return;
-                }
-            }
-            let result = catch_unwind(AssertUnwindSafe(move || f(proc)));
-            match result {
-                Ok(()) => finish_proc(&shared2, pid, None),
-                Err(payload) => {
-                    if payload.downcast_ref::<ShutdownUnwind>().is_some() {
-                        // Forced unwind during teardown, not a real panic.
-                        finish_proc(&shared2, pid, None);
-                    } else {
-                        let msg = payload_to_string(&*payload);
-                        finish_proc(&shared2, pid, Some(msg));
-                    }
-                }
-            }
-        })
-        .expect("failed to spawn simulated process thread");
-    shared.joins.lock().push(join);
+    let coro = Coroutine::new(Box::new(move |coro| f(Proc::new(pid, shared2, coro))));
+    st.procs.push(ProcSlot {
+        name: name.to_string(),
+        daemon,
+        finished: false,
+        park: ParkKind::Timer, // will be woken by the spawn event
+        coro: Some(coro),
+    });
+    let at = st.now;
+    st.push_event(at, Event::Wake(pid));
     pid
-}
-
-/// Mark `pid` finished and either hand the outcome to the controller (when
-/// the run is over or `pid` panicked) or keep driving the schedule forward
-/// on this thread.
-fn finish_proc(shared: &Arc<Shared>, pid: ProcId, panic_msg: Option<String>) {
-    let teardown = {
-        let mut st = shared.state.lock();
-        st.procs.get_mut(pid.index()).finished = true;
-        if let Some(message) = panic_msg {
-            let proc = st.procs.get(pid.index()).name.clone();
-            st.finish(Err(SimError::ProcPanic { proc, message }));
-        }
-        st.teardown
-    };
-    if teardown {
-        shared.controller.wake(Go::Run);
-        return;
-    }
-    // The finishing thread keeps the driver token and pushes the schedule
-    // forward until control transfers or the run ends.
-    let _ = drive(shared, None);
 }
 
 fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
@@ -605,8 +578,6 @@ impl Simulation {
                 schedule_hash: FNV_OFFSET,
             }),
             now_ns: AtomicU64::new(0),
-            controller: Gate::new(),
-            joins: Mutex::new(Vec::new()),
         });
         Simulation { shared }
     }
@@ -633,45 +604,52 @@ impl Simulation {
         spawn_proc(&self.shared, name, true, f)
     }
 
-    /// Drive the simulation to completion.
+    /// Drive the simulation to completion on the calling thread.
     pub fn run(self) -> Result<Report, SimError> {
-        self.shared.controller.register();
         let started = std::time::Instant::now();
-        // The controller drives until the first handoff; after that the
-        // token circulates among process threads until the outcome is
-        // decided by whichever thread observes it.
-        let _ = drive(&self.shared, None);
+        let shared = &*self.shared;
+        let handle = self.handle();
+        let mut calls: Vec<CallFn> = Vec::new();
         loop {
-            if self.shared.state.lock().teardown {
-                break;
+            match next_step(shared, &mut calls) {
+                Step::Calls => {
+                    let batch = catch_unwind(AssertUnwindSafe(|| {
+                        for f in calls.drain(..) {
+                            f(&handle);
+                        }
+                    }));
+                    if let Err(payload) = batch {
+                        let message = payload_to_string(&*payload);
+                        shared.state.lock().finish(Err(SimError::ProcPanic {
+                            proc: CALLBACK_PROC.to_string(),
+                            message,
+                        }));
+                    }
+                }
+                Step::Resume(pid, coro, go) => resume(shared, pid, coro, go),
+                Step::Ended => break,
             }
-            let _ = self.shared.controller.wait();
         }
-        // Teardown: unblock parked processes (repeatedly — a process may
-        // park again while unwinding) until every thread has finished.
+        // Teardown: resume each unfinished process with `Shutdown` until
+        // its body ends (it may park again while unwinding), in spawn
+        // order. Processes spawned during teardown join the end of the
+        // scan.
+        let mut idx = 0;
         loop {
-            let gates: Vec<Arc<Gate>> = {
-                let st = self.shared.state.lock();
-                st.procs
-                    .iter()
-                    .filter(|(_, s)| !s.finished)
-                    .map(|(_, s)| s.gate.clone())
-                    .collect()
+            let coro = {
+                let st = shared.state.lock();
+                if idx == st.procs.len() {
+                    break;
+                }
+                let slot = st.procs.get(idx);
+                (!slot.finished).then(|| slot.coro_ptr())
             };
-            if gates.is_empty() {
-                break;
+            match coro {
+                Some(coro) => resume(shared, ProcId(idx as u32), coro, Go::Shutdown),
+                None => idx += 1,
             }
-            for g in &gates {
-                g.wake(Go::Shutdown);
-            }
-            let _ = self.shared.controller.wait();
         }
-        let joins = std::mem::take(&mut *self.shared.joins.lock());
-        for j in joins {
-            let _ = j.join();
-        }
-        let result = self
-            .shared
+        let result = shared
             .state
             .lock()
             .result
@@ -686,23 +664,14 @@ impl Simulation {
 
 impl Drop for Simulation {
     fn drop(&mut self) {
-        // A simulation dropped without `run` still has process threads
-        // parked at their start gates; release them so nothing leaks.
-        let gates: Vec<Arc<Gate>> = {
+        // A simulation dropped without `run` still owns its unstarted
+        // process bodies; drop them now (outside the lock, since their
+        // captures may touch the kernel) rather than leaving them in a
+        // cycle with any handle they captured.
+        let coros: Vec<Arc<Coroutine>> = {
             let mut st = self.shared.state.lock();
-            st.teardown = true;
-            st.procs
-                .iter()
-                .filter(|(_, s)| !s.finished)
-                .map(|(_, s)| s.gate.clone())
-                .collect()
+            st.procs.iter_mut().filter_map(|s| s.coro.take()).collect()
         };
-        for g in gates {
-            g.wake(Go::Shutdown);
-        }
-        let joins = std::mem::take(&mut *self.shared.joins.lock());
-        for j in joins {
-            let _ = j.join();
-        }
+        drop(coros);
     }
 }

@@ -3,12 +3,17 @@
 //! The substrate for the Open MPI / Quadrics-Elan4 reproduction: a virtual
 //! clock, an event queue, and cooperative *simulated processes*.
 //!
-//! Simulated processes are real OS threads, which lets MPI ranks be written
-//! as ordinary blocking Rust code, but the kernel enforces that at most one
-//! process runs at a time and that control transfers only through the event
-//! queue. Events at equal times execute in insertion order, so a simulation
-//! is a deterministic function of its inputs — latencies measured in virtual
-//! time are exactly reproducible.
+//! Simulated processes are stackful coroutines, which lets MPI ranks be
+//! written as ordinary blocking Rust code. All of them run on the thread
+//! that calls [`Simulation::run`], one at a time, and control transfers
+//! only through the event queue: a blocking call switches back to the
+//! scheduler loop, which switches into whichever process the next wake
+//! event names. Events at equal times execute in insertion order, so a
+//! simulation is a deterministic function of its inputs — latencies
+//! measured in virtual time are exactly reproducible.
+//!
+//! The coroutine context switch is x86_64 assembly; the crate builds for
+//! x86_64 Linux only.
 //!
 //! ## Example
 //!
@@ -29,7 +34,7 @@
 
 #![warn(missing_docs)]
 
-mod gate;
+mod coro;
 mod handle;
 mod kernel;
 mod proc;
@@ -40,7 +45,7 @@ mod sync;
 mod time;
 
 pub use handle::SimHandle;
-pub use kernel::{ProcId, Report, SimError, Simulation};
+pub use kernel::{ProcId, Report, SimError, Simulation, CALLBACK_PROC};
 pub use proc::Proc;
 pub use queue::{default_queue_kind, set_default_queue_kind, QueueKind};
 pub use rng::Pcg32;
@@ -286,15 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn dropping_unrun_simulation_joins_threads() {
-        // A simulation dropped without `run` must release the parked process
-        // threads instead of leaking them.
-        let sim = Simulation::new();
-        sim.spawn("p", |p| p.advance(Dur::from_us(1)));
-        drop(sim);
-    }
-
-    #[test]
     fn proc_panic_is_reported() {
         let sim = Simulation::new();
         sim.spawn("bad", |_p| panic!("boom"));
@@ -302,6 +298,22 @@ mod tests {
             Err(SimError::ProcPanic { proc, message }) => {
                 assert_eq!(proc, "bad");
                 assert!(message.contains("boom"));
+            }
+            other => panic!("expected panic error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn callback_panic_is_reported_as_a_device_callback() {
+        let sim = Simulation::new();
+        sim.spawn("p", |p| {
+            p.call_after(Dur::from_us(1), |_| panic!("device fault"));
+            p.advance(Dur::from_us(5));
+        });
+        match sim.run() {
+            Err(SimError::ProcPanic { proc, message }) => {
+                assert_eq!(proc, CALLBACK_PROC);
+                assert!(message.contains("device fault"));
             }
             other => panic!("expected panic error, got {other:?}"),
         }

@@ -1,26 +1,32 @@
 //! [`Proc`] — the handle a simulated process uses to interact with virtual
 //! time: advancing the clock, creating and waiting on signals, spawning
 //! further processes.
+//!
+//! Every blocking call ends in [`Proc::park`]'s switch from the process's
+//! coroutine back to the scheduler loop in [`crate::Simulation::run`];
+//! the value the loop resumes it with says whether to carry on or to shut
+//! down.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::gate::Gate;
+use crate::coro::Coroutine;
 use crate::handle::SimHandle;
-use crate::kernel::{drive, spawn_proc, Driven, Event, Go, ParkKind, ProcId, Shared};
+use crate::kernel::{spawn_proc, Event, Go, ParkKind, ProcId, Shared};
 use crate::signal::{Signal, SignalInner, TimedWait, Wait};
 use crate::time::{Dur, Time};
 
-/// Per-process handle. Not `Clone`: exactly one OS thread owns it.
+/// Per-process handle. Not `Clone`: it belongs to the body of exactly one
+/// process, and its blocking calls may only be made from that body.
 pub struct Proc {
     pid: ProcId,
     shared: Arc<Shared>,
-    gate: Arc<Gate>,
+    coro: Arc<Coroutine>,
 }
 
 impl Proc {
-    pub(crate) fn new(pid: ProcId, shared: Arc<Shared>, gate: Arc<Gate>) -> Self {
-        Proc { pid, shared, gate }
+    pub(crate) fn new(pid: ProcId, shared: Arc<Shared>, coro: Arc<Coroutine>) -> Self {
+        Proc { pid, shared, coro }
     }
 
     /// This process's id.
@@ -51,16 +57,18 @@ impl Proc {
         loop {
             match self.park() {
                 Go::Run => {
-                    let mut st = self.shared.state.lock();
-                    if st.now >= target {
+                    // The clock mirror is exact here: the scheduler stores
+                    // it before every dispatch.
+                    if self.now() >= target {
                         return;
                     }
+                    let mut st = self.shared.state.lock();
                     // A stale wake (e.g. the leftover timer of an earlier
                     // `wait_timeout` that raced its signal): our own wake is
                     // still queued, so just park again until it arrives.
                     st.procs.get_mut(self.pid.index()).park = ParkKind::Timer;
                 }
-                // Forced shutdown while sleeping: unwind this thread. The
+                // Forced shutdown while sleeping: unwind this process. The
                 // kernel treats the unwind as process completion during
                 // teardown.
                 Go::Shutdown => std::panic::panic_any(ShutdownUnwind),
@@ -192,19 +200,14 @@ impl Proc {
         self.sim().call_after(delay, f);
     }
 
-    /// Give up control: keep the driver token and dispatch events on this
-    /// thread until either our own wake comes up (free resume, no context
-    /// switch) or control transfers elsewhere and we block on our gate.
+    /// Give up control: switch back to the scheduler loop until it resumes
+    /// this process. Callers must have dropped the kernel-state guard.
     fn park(&self) -> Go {
-        match drive(&self.shared, Some(self.pid)) {
-            Driven::Resume => Go::Run,
-            Driven::Transferred => self.gate.wait(),
-            Driven::Ended => Go::Shutdown,
-        }
+        self.coro.suspend()
     }
 }
 
-/// Panic payload used to unwind a process thread during forced shutdown.
+/// Panic payload used to unwind a process during forced shutdown.
 pub(crate) struct ShutdownUnwind;
 
 impl std::fmt::Debug for Proc {

@@ -36,7 +36,9 @@ impl<T> Mutex<T> {
 }
 
 impl<T: ?Sized> Mutex<T> {
-    /// Acquire the lock, blocking the calling OS thread.
+    /// Acquire the lock, blocking the calling OS thread. Simulated
+    /// processes share one thread, so a guard must never be held across a
+    /// blocking [`Proc`] call: another process locking it would deadlock.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }

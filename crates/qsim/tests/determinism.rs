@@ -1,6 +1,7 @@
 //! Scheduler determinism: the same program must produce the same schedule —
-//! across repeated runs, and across event-queue implementations (the
-//! calendar queue vs. the reference `BTreeMap`). Equality is checked on
+//! across repeated runs, across event-queue implementations (the calendar
+//! queue vs. the reference `BTreeMap`), and across kernel changes, pinned
+//! by golden fingerprints. Equality is checked on
 //! `(end_time, events_processed)` and on the kernel's per-event schedule
 //! hash, which folds every dispatched `(time, kind, proc)` triple.
 
@@ -89,6 +90,24 @@ fn mixed_workload(sim: &Simulation) {
     });
 }
 
+/// `(schedule_hash, events_processed, wakes_executed, calls_executed)`.
+type Golden = (u64, u64, u64, u64);
+
+/// Golden fingerprints, recorded with the thread-per-process backend on the
+/// reference `BTree` queue before it was replaced by coroutines. Any
+/// kernel change that alters one dispatched event changes these.
+const MIXED_GOLDEN: Golden = (0x8442_e814_0149_9a6c, 1840, 1834, 6);
+const NIC_ALLREDUCE_GOLDEN: Golden = (0xe05c_c73a_ecbd_bb1b, 102_936, 95_270, 7666);
+
+fn golden(r: &Report) -> Golden {
+    (
+        r.schedule_hash,
+        r.events_processed,
+        r.wakes_executed,
+        r.calls_executed,
+    )
+}
+
 fn run_workload(kind: QueueKind) -> Report {
     let sim = Simulation::with_queue(kind);
     mixed_workload(&sim);
@@ -128,6 +147,8 @@ fn calendar_and_btree_queues_produce_identical_schedules() {
         fingerprint(&btree),
         "queue implementations diverged on the same program"
     );
+    assert_eq!(golden(&btree), MIXED_GOLDEN, "BTree schedule moved");
+    assert_eq!(golden(&cal), MIXED_GOLDEN, "calendar schedule moved");
     assert_eq!(cal.stale_wakes, btree.stale_wakes);
     assert_eq!(cal.sched_past, btree.sched_past);
 }
@@ -197,6 +218,12 @@ fn nic_offloaded_allreduce_schedules_identically_across_queues() {
         fingerprint(&cal),
         fingerprint(&btree),
         "queue implementations diverged on the NIC-offloaded collective"
+    );
+    assert_eq!(golden(&btree), NIC_ALLREDUCE_GOLDEN, "BTree schedule moved");
+    assert_eq!(
+        golden(&cal),
+        NIC_ALLREDUCE_GOLDEN,
+        "calendar schedule moved"
     );
     assert_eq!(cal.stale_wakes, btree.stale_wakes);
     assert_eq!(cal.sched_past, btree.sched_past);
