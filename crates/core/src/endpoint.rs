@@ -117,7 +117,7 @@ pub struct Endpoint {
     /// communicator + shape and reused across calls ([`crate::coll`]).
     /// Lives on the endpoint (not the communicator) because communicator
     /// handles are cloned per call. Leaf lock, never held across waits.
-    pub nic_progs: Mutex<std::collections::HashMap<crate::coll::ProgKey, crate::coll::CachedProg>>,
+    pub nic_progs: Mutex<qsim::fxhash::FxHashMap<crate::coll::ProgKey, crate::coll::CachedProg>>,
     /// This rank's published addressing.
     pub my_info: PeerInfo,
 }
@@ -276,7 +276,7 @@ impl Endpoint {
             coll_seq: AtomicU64::new(0),
             coll_depth: AtomicU64::new(0),
             cur_coll_id: AtomicU64::new(0),
-            nic_progs: Mutex::new(std::collections::HashMap::new()),
+            nic_progs: Mutex::new(qsim::fxhash::FxHashMap::default()),
             my_info,
         })
     }

@@ -20,7 +20,7 @@
 //!   and raises a structured [`StallDiagnostic`] naming the protocol phase
 //!   each stuck request is wedged in.
 
-use std::collections::HashMap;
+use qsim::fxhash::FxHashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -1179,7 +1179,7 @@ pub fn timeline_tick(proc: &Proc, ep: &Arc<Endpoint>) {
 #[derive(Default)]
 pub struct IntrospectState {
     /// Per-request `(fingerprint, consecutive stale scans)`.
-    marks: HashMap<u64, (u64, u64)>,
+    marks: FxHashMap<u64, (u64, u64)>,
     /// Watchdog scans performed.
     pub scans: u64,
     /// Requests ever declared stalled.
@@ -1463,7 +1463,7 @@ fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
     }
 
     // Requests no longer live stop being tracked.
-    let live_ids: std::collections::HashSet<u64> = live.iter().map(|(id, _)| *id).collect();
+    let live_ids: qsim::fxhash::FxHashSet<u64> = live.iter().map(|(id, _)| *id).collect();
     ins.marks.retain(|id, _| live_ids.contains(id));
 
     let mut stalled: Vec<(u64, u64)> = Vec::new(); // (id, stale scans)

@@ -7,7 +7,8 @@
 //! copy costs. Frames arrive whole in a per-rank inbox (the stream framing
 //! of a real socket is below the fidelity this reproduction needs).
 
-use std::collections::{HashMap, VecDeque};
+use qsim::fxhash::FxHashMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use elan4::NicConfig;
@@ -88,7 +89,7 @@ impl TcpInbox {
 }
 
 struct TcpNetInner {
-    inboxes: HashMap<ProcName, (usize, Arc<TcpInbox>)>,
+    inboxes: FxHashMap<ProcName, (usize, Arc<TcpInbox>)>,
     tx_free: Vec<Time>,
     rx_free: Vec<Time>,
     stats: TcpNetStats,
@@ -137,7 +138,7 @@ impl TcpNet {
         Arc::new(TcpNet {
             cfg,
             inner: Mutex::new(TcpNetInner {
-                inboxes: HashMap::new(),
+                inboxes: FxHashMap::default(),
                 tx_free: vec![Time::ZERO; nodes],
                 rx_free: vec![Time::ZERO; nodes],
                 stats: TcpNetStats::default(),

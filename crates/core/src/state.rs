@@ -4,7 +4,8 @@
 //! virtual time is consumed at this layer (costs are charged by the caller
 //! from the [`crate::config::HostConfig`] model).
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use qsim::fxhash::{FxHashMap, FxHashSet};
+use std::collections::{BTreeMap, VecDeque};
 
 use elan4::E4Addr;
 use ompi_datatype::Convertor;
@@ -246,7 +247,7 @@ pub struct BouncePool {
     /// Uniform slot length.
     slot_len: usize,
     /// Base addresses of every pool slot (membership test for `release`).
-    slots: HashSet<elan4::HostAddr>,
+    slots: FxHashSet<elan4::HostAddr>,
     /// Slots currently handed out.
     in_use: usize,
 }
@@ -257,7 +258,7 @@ impl BouncePool {
         BouncePool {
             free: Vec::new(),
             slot_len: 0,
-            slots: HashSet::new(),
+            slots: FxHashSet::default(),
             in_use: 0,
         }
     }
@@ -339,9 +340,9 @@ pub struct CommState {
     /// Fragments that matched no posted receive yet.
     pub unexpected: Vec<UnexpectedFrag>,
     /// Next sequence number per destination rank.
-    pub next_send_seq: HashMap<u32, u32>,
+    pub next_send_seq: FxHashMap<u32, u32>,
     /// Next expected sequence number per source rank.
-    pub next_recv_seq: HashMap<u32, u32>,
+    pub next_recv_seq: FxHashMap<u32, u32>,
     /// Match-class fragments that arrived ahead of their sequence number
     /// (possible with multi-rail striping).
     pub out_of_order: Vec<UnexpectedFrag>,
@@ -357,8 +358,8 @@ impl CommState {
             my_rank,
             posted: Vec::new(),
             unexpected: Vec::new(),
-            next_send_seq: HashMap::new(),
-            next_recv_seq: HashMap::new(),
+            next_send_seq: FxHashMap::default(),
+            next_recv_seq: FxHashMap::default(),
             out_of_order: Vec::new(),
             arrival_counter: 0,
         }
@@ -567,15 +568,15 @@ pub struct PendingDma {
 /// The lock-guarded heart of one rank's PML.
 pub struct EpState {
     /// Matching state per registered context id.
-    pub comms: HashMap<u32, CommState>,
+    pub comms: FxHashMap<u32, CommState>,
     /// Live send requests by id.
-    pub send_reqs: HashMap<u64, SendReq>,
+    pub send_reqs: FxHashMap<u64, SendReq>,
     /// Live receive requests by id.
-    pub recv_reqs: HashMap<u64, RecvReq>,
+    pub recv_reqs: FxHashMap<u64, RecvReq>,
     /// DMA descriptors whose completion the host has not yet observed.
     pub pending_dmas: Vec<PendingDma>,
     /// Resolved addressing for every known peer.
-    pub peers: HashMap<ProcName, PeerInfo>,
+    pub peers: FxHashMap<ProcName, PeerInfo>,
     /// Next request id.
     pub next_req: u64,
     /// Next shared-completion-queue token.
@@ -590,19 +591,19 @@ pub struct EpState {
     pub early_frames: Vec<(Hdr, Vec<u8>)>,
     /// Next reliability sequence number per peer (1-based; 0 on the wire
     /// means "not sequence-stamped").
-    pub ctl_next_seq: HashMap<ProcName, u32>,
+    pub ctl_next_seq: FxHashMap<ProcName, u32>,
     /// Sequence-stamped control frames not yet receipted by their peer; the
     /// retransmit buffer. Scanned by `reliability_tick`.
     pub ctl_inflight: Vec<InflightCtl>,
     /// Reliability sequence numbers already processed, per origin peer:
     /// duplicate-suppression state making redelivered frames idempotent.
-    pub ctl_seen: HashMap<ProcName, HashSet<u32>>,
+    pub ctl_seen: FxHashMap<ProcName, FxHashSet<u32>>,
     /// Peers declared failed after retransmission retries were exhausted.
     /// New sends to them error out immediately.
-    pub failed_peers: HashSet<ProcName>,
+    pub failed_peers: FxHashSet<ProcName>,
     /// Active pipelined bulk transfers, keyed by the owning request id
     /// (request ids are unique across sends and receives).
-    pub pipelines: HashMap<u64, PipeState>,
+    pub pipelines: FxHashMap<u64, PipeState>,
     /// TCP bulk pushes awaiting their next paced burst.
     pub tcp_pushes: Vec<TcpPush>,
     /// Per-peer credit/backpressure state (lazily created on first
@@ -617,21 +618,21 @@ impl EpState {
     /// Empty PML state.
     pub fn new() -> Self {
         EpState {
-            comms: HashMap::new(),
-            send_reqs: HashMap::new(),
-            recv_reqs: HashMap::new(),
+            comms: FxHashMap::default(),
+            send_reqs: FxHashMap::default(),
+            recv_reqs: FxHashMap::default(),
             pending_dmas: Vec::new(),
-            peers: HashMap::new(),
+            peers: FxHashMap::default(),
             next_req: 1,
             next_dma_token: 1,
             finalizing: false,
             waiters: Vec::new(),
             early_frames: Vec::new(),
-            ctl_next_seq: HashMap::new(),
+            ctl_next_seq: FxHashMap::default(),
             ctl_inflight: Vec::new(),
-            ctl_seen: HashMap::new(),
-            failed_peers: HashSet::new(),
-            pipelines: HashMap::new(),
+            ctl_seen: FxHashMap::default(),
+            failed_peers: FxHashSet::default(),
+            pipelines: FxHashMap::default(),
             tcp_pushes: Vec::new(),
             flow: BTreeMap::new(),
             bounce_pool: BouncePool::new(),

@@ -6,7 +6,7 @@
 //! every process and device callback, so the lock is uncontended and exists
 //! only to satisfy `Send`/`Sync`.
 
-use std::collections::HashMap;
+use qsim::fxhash::FxHashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -207,7 +207,7 @@ pub struct ClusterStats {
 
 pub(crate) struct ClusterInner {
     pub nodes: Vec<NodeState>,
-    pub ctxs: HashMap<u32, CtxState>,
+    pub ctxs: FxHashMap<u32, CtxState>,
     pub free_ctxs: Vec<Vec<u16>>,
     pub stats: ClusterStats,
     /// Fault injection: payload-carrying QDMA deposits to corrupt (flips
@@ -243,7 +243,7 @@ impl Cluster {
             fabric,
             inner: Mutex::new(ClusterInner {
                 nodes,
-                ctxs: HashMap::new(),
+                ctxs: FxHashMap::default(),
                 free_ctxs,
                 stats: ClusterStats::default(),
                 corrupt_deposits: 0,
@@ -336,6 +336,31 @@ impl Cluster {
     pub(crate) fn mem_write(&self, addr: HostAddr, data: &[u8]) {
         let mut inner = self.inner.lock();
         inner.nodes[addr.node].mem[addr.off..addr.off + data.len()].copy_from_slice(data);
+    }
+
+    /// Copy `len` bytes from `src` to `dst` under one lock, with no
+    /// intermediate buffer: a DMA engine's data movement. Overlapping
+    /// ranges on one node copy as if read in full first (memmove).
+    pub(crate) fn mem_copy(&self, src: HostAddr, dst: HostAddr, len: usize) {
+        if len == 0 {
+            return;
+        }
+        let mut inner = self.inner.lock();
+        let nodes = &mut inner.nodes;
+        if src.node == dst.node {
+            nodes[src.node]
+                .mem
+                .copy_within(src.off..src.off + len, dst.off);
+            return;
+        }
+        let lo = src.node.min(dst.node);
+        let (head, tail) = nodes.split_at_mut(lo + 1);
+        let (a, b) = (
+            &mut head[lo].mem,
+            &mut tail[src.node.max(dst.node) - lo - 1].mem,
+        );
+        let (from, to) = if src.node < dst.node { (a, b) } else { (b, a) };
+        to[dst.off..dst.off + len].copy_from_slice(&from[src.off..src.off + len]);
     }
 
     // ---- engines ---------------------------------------------------------
@@ -619,10 +644,7 @@ impl Cluster {
         // Move the actual bytes and fire the completion event when done.
         let me = self.clone();
         sim.call_at(completed + cfg.event_fire, move |s| {
-            if len > 0 {
-                let data = me.mem_read(src_host, len);
-                me.mem_write(dst_host, &data);
-            }
+            me.mem_copy(src_host, dst_host, len);
             if let Some(ev) = done_event {
                 me.event_complete(s, issuer, ev);
             }

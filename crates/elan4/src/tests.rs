@@ -864,3 +864,77 @@ fn tport_same_node_loopback() {
     }
     sim.run().unwrap();
 }
+
+mod mem_copy {
+    use super::cluster;
+    use crate::{Cluster, HostAddr};
+
+    fn at(node: usize, off: usize) -> HostAddr {
+        HostAddr { node, off }
+    }
+
+    /// Fill `len` bytes at `addr` with a pattern seeded by `seed`.
+    fn fill(cl: &Cluster, addr: HostAddr, len: usize, seed: u8) -> Vec<u8> {
+        let data: Vec<u8> = (0..len)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))
+            .collect();
+        cl.mem_write(addr, &data);
+        data
+    }
+
+    /// The two-step copy `mem_copy` replaces: read everything, then write.
+    fn read_then_write(cl: &Cluster, src: HostAddr, dst: HostAddr, len: usize) {
+        let data = cl.mem_read(src, len);
+        cl.mem_write(dst, &data);
+    }
+
+    #[test]
+    fn cross_node_in_both_index_orders() {
+        let cl = cluster();
+        for (src, dst) in [(at(1, 64), at(5, 4096)), (at(6, 4096), at(2, 8))] {
+            let data = fill(&cl, src, 3000, src.node as u8);
+            let before = cl.mem_read(at(dst.node, dst.off - 8), 8);
+            cl.mem_copy(src, dst, data.len());
+            assert_eq!(cl.mem_read(dst, data.len()), data);
+            assert_eq!(cl.mem_read(src, data.len()), data, "source untouched");
+            assert_eq!(cl.mem_read(at(dst.node, dst.off - 8), 8), before);
+            assert_eq!(cl.mem_read(at(dst.node, dst.off + data.len()), 8), [0; 8]);
+        }
+    }
+
+    #[test]
+    fn same_node_non_overlapping() {
+        let cl = cluster();
+        let data = fill(&cl, at(3, 0), 512, 7);
+        cl.mem_copy(at(3, 0), at(3, 10_000), 512);
+        assert_eq!(cl.mem_read(at(3, 10_000), 512), data);
+        assert_eq!(cl.mem_read(at(3, 0), 512), data);
+    }
+
+    #[test]
+    fn same_node_overlapping_matches_read_then_write() {
+        for (src, dst) in [(100, 140), (140, 100), (100, 100)] {
+            let (cl, reference) = (cluster(), cluster());
+            for c in [&cl, &reference] {
+                fill(c, at(0, 0), 400, 9);
+            }
+            cl.mem_copy(at(0, src), at(0, dst), 200);
+            read_then_write(&reference, at(0, src), at(0, dst), 200);
+            assert_eq!(
+                cl.mem_read(at(0, 0), 400),
+                reference.mem_read(at(0, 0), 400),
+                "src {src} dst {dst}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_length_copies_nothing() {
+        let cl = cluster();
+        let data = fill(&cl, at(0, 0), 16, 1);
+        cl.mem_copy(at(0, 0), at(1, 0), 0);
+        cl.mem_copy(at(0, 0), at(0, 8), 0);
+        assert_eq!(cl.mem_read(at(0, 0), 16), data);
+        assert_eq!(cl.mem_read(at(1, 0), 16), [0; 16]);
+    }
+}

@@ -344,10 +344,7 @@ fn deliver_matched(
     let src_addr = msg.src_addr;
     let src_done = msg.src_done;
     sim.call_at(completed + cfg.event_fire, move |s| {
-        if len > 0 {
-            let data = cl.mem_read(src_addr, len);
-            cl.mem_write(dst_addr, &data);
-        }
+        cl.mem_copy(src_addr, dst_addr, len);
         *done.lock() = Some(msg.env);
         signal.notify(s);
         // Sender-side completion rides back on the pull's final ack.

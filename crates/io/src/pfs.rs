@@ -6,7 +6,7 @@
 //! same I/O node serialize — the behaviour that makes collective I/O
 //! worthwhile.
 
-use std::collections::HashMap;
+use qsim::fxhash::FxHashMap;
 use std::sync::Arc;
 
 use qsim::Mutex;
@@ -43,7 +43,7 @@ struct FileState {
 }
 
 struct PfsInner {
-    files: HashMap<String, FileState>,
+    files: FxHashMap<String, FileState>,
     /// Disk availability per I/O node.
     disk_free: Vec<Time>,
     reads: u64,
@@ -76,7 +76,7 @@ impl Pfs {
         Arc::new(Pfs {
             cfg,
             inner: Mutex::new(PfsInner {
-                files: HashMap::new(),
+                files: FxHashMap::default(),
                 disk_free: vec![Time::ZERO; disks],
                 reads: 0,
                 writes: 0,

@@ -19,6 +19,19 @@
 //! switch back to the loop) or its body ends. A wake therefore costs two
 //! user-space register switches and no OS scheduling at all.
 //!
+//! ## Inline wake
+//!
+//! A process that calls [`Proc::advance`] while every queued event is
+//! strictly later than its target time (or the queue is empty) would be
+//! woken by the very next pop. [`KernelState::try_inline_wake`] skips that
+//! round trip: under the state lock it does exactly the bookkeeping push +
+//! pop + dispatch would do — `seq`, `max_queue_depth` as if pushed, the
+//! clock and its mirror, `events_processed`, `wakes_executed` and the
+//! schedule-hash fold — and `advance` returns without switching. A wake
+//! tied on time with a queued event, a run at its event limit and a run in
+//! teardown all take the queue, so every count and `schedule_hash` is the
+//! same as without the shortcut.
+//!
 //! Panics never unwind across a switch: a process body runs under
 //! `catch_unwind` on its own stack, and the loop runs each callback batch
 //! under `catch_unwind` on the caller's. Either kind of panic ends the run
@@ -237,6 +250,26 @@ impl KernelState {
         self.queue.insert(at, key.1, ev);
         self.max_queue_depth = self.max_queue_depth.max(self.queue.len());
         key
+    }
+
+    /// Dispatch the wake of `pid` at `at` in place when it is provably the
+    /// next event (see "Inline wake" in the module docs). Returns false,
+    /// with nothing changed, when the wake must be queued instead.
+    pub(crate) fn try_inline_wake(&mut self, now_ns: &AtomicU64, at: Time, pid: ProcId) -> bool {
+        if self.teardown
+            || self.events_processed >= self.event_limit
+            || self.queue.peek_time().is_some_and(|next| next <= at)
+        {
+            return false;
+        }
+        self.seq += 1;
+        self.max_queue_depth = self.max_queue_depth.max(self.queue.len() + 1);
+        self.now = at;
+        now_ns.store(at.as_ns(), Ordering::Release);
+        self.events_processed += 1;
+        self.wakes_executed += 1;
+        self.fold_hash(at, HASH_WAKE, pid.0 as u64);
+        true
     }
 
     #[inline]

@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 
 mod coro;
+pub mod fxhash;
 mod handle;
 mod kernel;
 mod proc;

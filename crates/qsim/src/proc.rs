@@ -5,7 +5,9 @@
 //! Every blocking call ends in [`Proc::park`]'s switch from the process's
 //! coroutine back to the scheduler loop in [`crate::Simulation::run`];
 //! the value the loop resumes it with says whether to carry on or to shut
-//! down.
+//! down. The one exception is [`Proc::advance`] whose wake would be the
+//! very next event: the kernel dispatches that wake inline (the *inline
+//! wake*, see the kernel module docs) and the process never parks.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -46,10 +48,17 @@ impl Proc {
 
     /// Model `d` of computation: the process gives up control and resumes
     /// once virtual time has advanced by `d`.
+    ///
+    /// When this wake is the next event anyway (nothing queued at or before
+    /// the target time), the kernel dispatches it in place and the call
+    /// returns without switching to the scheduler loop.
     pub fn advance(&self, d: Dur) {
         let target = {
             let mut st = self.shared.state.lock();
             let at = st.now + d;
+            if st.try_inline_wake(&self.shared.now_ns, at, self.pid) {
+                return;
+            }
             st.push_event(at, Event::Wake(self.pid));
             st.procs.get_mut(self.pid.index()).park = ParkKind::Timer;
             at

@@ -21,9 +21,10 @@
 //! calendar queue answer [`EventQueue::contains`] with a single comparison
 //! against the last popped key.
 
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicU8, Ordering};
 
+use crate::fxhash::FxHashSet;
 use crate::kernel::Event;
 use crate::time::Time;
 
@@ -109,7 +110,7 @@ pub(crate) struct CalendarQueue {
     occupied: [u64; BITMAP_WORDS],
     overflow: BinaryHeap<Overflow>,
     /// Seqs cancelled while still queued; entries are dropped when reached.
-    cancelled: HashSet<u64>,
+    cancelled: FxHashSet<u64>,
     /// Queued, non-cancelled entries.
     live: usize,
     /// Key of the last event handed out by `pop`.
@@ -124,7 +125,7 @@ impl CalendarQueue {
             slots: (0..NBUCKETS).map(|_| Vec::new()).collect(),
             occupied: [0; BITMAP_WORDS],
             overflow: BinaryHeap::new(),
-            cancelled: HashSet::new(),
+            cancelled: FxHashSet::default(),
             live: 0,
             last_popped: (Time::ZERO, 0),
         }
@@ -161,6 +162,9 @@ impl CalendarQueue {
 
     /// Drop cancelled entries from the top of the overflow heap.
     fn trim_overflow(&mut self) {
+        if self.cancelled.is_empty() {
+            return;
+        }
         while let Some(top) = self.overflow.peek() {
             if self.cancelled.remove(&top.0.seq) {
                 self.overflow.pop();
@@ -174,9 +178,10 @@ impl CalendarQueue {
     /// when no live entry remains anywhere.
     fn ensure_stage(&mut self) -> bool {
         loop {
-            // Skip tombstones at the stage front.
+            // Skip tombstones at the stage front (no probe while nothing
+            // is cancelled, the common case).
             while let Some(e) = self.stage.last() {
-                if self.cancelled.remove(&e.seq) {
+                if !self.cancelled.is_empty() && self.cancelled.remove(&e.seq) {
                     self.stage.pop();
                 } else {
                     return true;
@@ -242,6 +247,13 @@ impl CalendarQueue {
         self.live -= 1;
         self.last_popped = e.key();
         Some((e.at, e.seq, e.ev))
+    }
+
+    fn peek_time(&mut self) -> Option<Time> {
+        if !self.ensure_stage() {
+            return None;
+        }
+        self.stage.last().map(|e| e.at)
     }
 
     fn next_is_call_at(&mut self, t: Time) -> bool {
@@ -310,6 +322,14 @@ impl EventQueue {
                 let ev = q.map.remove(&key).unwrap();
                 Some((key.0, key.1, ev))
             }
+        }
+    }
+
+    /// Timestamp of the next event, if any.
+    pub(crate) fn peek_time(&mut self) -> Option<Time> {
+        match self {
+            EventQueue::Calendar(q) => q.peek_time(),
+            EventQueue::BTree(q) => q.map.keys().next().map(|k| k.0),
         }
     }
 
@@ -400,6 +420,7 @@ mod tests {
                 pending.push((at, seq));
                 seq += 1;
             } else if r < 85 {
+                assert_eq!(cal.peek_time(), bt.peek_time(), "peeks diverged");
                 let a = cal.pop();
                 let b = bt.pop();
                 match (a, b) {

@@ -19,7 +19,7 @@ pub mod pvar;
 
 pub use pvar::{ClusterReport, PvarAgg};
 
-use std::collections::HashMap;
+use qsim::fxhash::FxHashMap;
 use std::sync::Arc;
 
 use qsim::Mutex;
@@ -63,14 +63,14 @@ struct BarrierState {
 struct JobState {
     size: usize,
     parent: Option<ProcName>,
-    modex: HashMap<(usize, String), Vec<u8>>,
+    modex: FxHashMap<(usize, String), Vec<u8>>,
     modex_waiters: Vec<Signal>,
     barrier: BarrierState,
     finalized: usize,
 }
 
 struct RteInner {
-    jobs: HashMap<JobId, JobState>,
+    jobs: FxHashMap<JobId, JobState>,
     next_job: u32,
 }
 
@@ -86,7 +86,7 @@ impl Rte {
         Arc::new(Rte {
             cfg,
             inner: Mutex::new(RteInner {
-                jobs: HashMap::new(),
+                jobs: FxHashMap::default(),
                 next_job: 0,
             }),
         })
@@ -108,7 +108,7 @@ impl Rte {
             JobState {
                 size,
                 parent,
-                modex: HashMap::new(),
+                modex: FxHashMap::default(),
                 modex_waiters: Vec::new(),
                 barrier: BarrierState {
                     generation: 0,

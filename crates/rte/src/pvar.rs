@@ -91,7 +91,7 @@ impl ClusterReport {
                 .unwrap_or(0)
         };
         let mut vars = Vec::with_capacity(order.len());
-        let mut max_hits: std::collections::HashMap<usize, usize> = Default::default();
+        let mut max_hits: qsim::fxhash::FxHashMap<usize, usize> = Default::default();
         for name in &order {
             let mut agg: Option<PvarAgg> = None;
             for (rank, rows) in per_rank {

@@ -275,7 +275,7 @@ fn chrome_export_is_valid_json_with_monotone_per_rank_time() {
     // begins must end at or after its begin.
     for (rank, t) in traces.iter().enumerate() {
         let mut last = 0u64;
-        let mut open = std::collections::HashMap::new();
+        let mut open = qsim::fxhash::FxHashMap::default();
         for (time, ev) in t.events() {
             let ns = time.as_ns();
             assert!(ns >= last, "rank {rank} time went backwards");
