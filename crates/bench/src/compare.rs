@@ -6,9 +6,10 @@
 //! tolerance is correspondingly loose. Each anchor records what we compare,
 //! both values, and the relative error.
 
+use crate::experiments::{rndv_cfg, table1_cfgs};
 use crate::measure::{layer_decomposition, mpich_latency, ompi_latency, Setup};
 use elan4::NicConfig;
-use openmpi_core::{CompletionMode, ProgressMode, RdmaScheme, StackConfig};
+use openmpi_core::{RdmaScheme, StackConfig};
 use qsnet::FabricConfig;
 
 /// One paper-vs-measured anchor point.
@@ -29,28 +30,13 @@ impl Anchor {
     }
 }
 
-fn rndv(scheme: RdmaScheme) -> StackConfig {
-    let mut c = StackConfig::best();
-    c.scheme = scheme;
-    c.force_rendezvous = true;
-    c
-}
-
 /// Regenerate every anchored comparison.
 pub fn anchors() -> Vec<Anchor> {
     let mut out = Vec::new();
     let paper_setup = |c: StackConfig| Setup::paper(c);
 
     // Table 1 (exact numbers in the paper).
-    let basic = rndv(RdmaScheme::Read);
-    let mut irq = basic.clone();
-    irq.progress = ProgressMode::Interrupt;
-    let mut one = basic.clone();
-    one.progress = ProgressMode::OneThread;
-    one.completion = CompletionMode::SharedQueueCombined;
-    let mut two = basic.clone();
-    two.progress = ProgressMode::TwoThreads;
-    two.completion = CompletionMode::SharedQueueSeparate;
+    let [basic, irq, one, two] = table1_cfgs();
     let t1 = [
         ("table1 basic 4B", basic.clone(), 4usize, 3.87),
         ("table1 interrupt 4B", irq.clone(), 4, 14.70),
@@ -78,11 +64,8 @@ pub fn anchors() -> Vec<Anchor> {
     });
 
     // §6.1: the datatype engine costs ~0.4 µs.
-    let mut dtp = rndv(RdmaScheme::Read);
-    dtp.inline_first_frag = true;
-    let mut base = dtp.clone();
-    base.use_datatype_engine = false;
-    dtp.use_datatype_engine = true;
+    let base = rndv_cfg(RdmaScheme::Read, true, false);
+    let dtp = rndv_cfg(RdmaScheme::Read, true, true);
     out.push(Anchor {
         name: "fig7 DTP overhead",
         paper: 0.4,

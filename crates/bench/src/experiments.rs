@@ -11,7 +11,9 @@ use crate::measure::{
 };
 use crate::report::{sizes_large, sizes_small, Table};
 
-fn rndv_cfg(scheme: RdmaScheme, inline: bool, dtp: bool) -> StackConfig {
+/// The paper's best options with the rendezvous path forced, so the RDMA
+/// schemes are exercised at every size.
+pub fn rndv_cfg(scheme: RdmaScheme, inline: bool, dtp: bool) -> StackConfig {
     let mut c = StackConfig::best();
     c.scheme = scheme;
     c.inline_first_frag = inline;
@@ -20,11 +22,24 @@ fn rndv_cfg(scheme: RdmaScheme, inline: bool, dtp: bool) -> StackConfig {
     c
 }
 
+/// Fill `t` with the ping-pong latency of every configuration (one column
+/// each) at every size (one row each).
+fn latency_rows(mut t: Table, cfgs: &[StackConfig], sizes: &[usize]) -> Table {
+    for &len in sizes {
+        let vals = cfgs
+            .iter()
+            .map(|c| ompi_latency(&Setup::paper(c.clone()), len))
+            .collect();
+        t.push(len, vals);
+    }
+    t
+}
+
 /// Fig. 7(a)/(b): basic RDMA read vs. write, with/without inlined first
 /// fragment, with/without the datatype engine. The rendezvous path is
 /// forced so the RDMA schemes are exercised at every size.
 pub fn fig7(sizes: &[usize]) -> Table {
-    let mut t = Table::new(
+    let t = Table::new(
         "Fig. 7: basic RDMA read and write latency",
         "us",
         &[
@@ -44,14 +59,7 @@ pub fn fig7(sizes: &[usize]) -> Table {
         rndv_cfg(RdmaScheme::Write, false, false),
         rndv_cfg(RdmaScheme::Write, true, true),
     ];
-    for &len in sizes {
-        let vals = cfgs
-            .iter()
-            .map(|c| ompi_latency(&Setup::paper(c.clone()), len))
-            .collect();
-        t.push(len, vals);
-    }
-    t
+    latency_rows(t, &cfgs, sizes)
 }
 
 pub fn fig7a() -> Table {
@@ -66,7 +74,7 @@ pub fn fig7b() -> Table {
 /// series compare fast chained completion, host-driven FIN_ACK, and the
 /// one-queue / two-queue shared completion strategies.
 pub fn fig8() -> Table {
-    let mut t = Table::new(
+    let t = Table::new(
         "Fig. 8: chained DMA and shared completion queue",
         "us",
         &["RDMA-Read", "Read-NoChain", "One-Queue", "Two-Queue"],
@@ -78,17 +86,10 @@ pub fn fig8() -> Table {
     oneq.completion = CompletionMode::SharedQueueCombined;
     let mut twoq = base.clone();
     twoq.completion = CompletionMode::SharedQueueSeparate;
-    let cfgs = [base, nochain, oneq, twoq];
-    for len in [
-        0usize, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384,
-    ] {
-        let vals = cfgs
-            .iter()
-            .map(|c| ompi_latency(&Setup::paper(c.clone()), len))
-            .collect();
-        t.push(len, vals);
-    }
-    t
+    let sizes = [
+        0, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384,
+    ];
+    latency_rows(t, &[base, nochain, oneq, twoq], &sizes)
 }
 
 /// Fig. 9 / §6.3: communication overhead per layer. QDMA latency is the
@@ -116,14 +117,9 @@ pub fn fig9() -> Table {
     t
 }
 
-/// Table 1: thread-based asynchronous progress, RDMA-read rendezvous at
-/// 4 B and 4 KB across the four completion strategies.
-pub fn table1() -> Table {
-    let mut t = Table::new(
-        "Table 1: thread-based asynchronous progress (RDMA-Read)",
-        "us",
-        &["Basic", "Interrupt", "One Thread", "Two Threads"],
-    );
+/// Table 1's four progress strategies on the RDMA-read rendezvous: basic
+/// polling, interrupts, one progress thread, two progress threads.
+pub fn table1_cfgs() -> [StackConfig; 4] {
     let basic = rndv_cfg(RdmaScheme::Read, false, false);
     let mut irq = basic.clone();
     irq.progress = ProgressMode::Interrupt;
@@ -133,15 +129,18 @@ pub fn table1() -> Table {
     let mut two = basic.clone();
     two.progress = ProgressMode::TwoThreads;
     two.completion = CompletionMode::SharedQueueSeparate;
-    let cfgs = [basic, irq, one, two];
-    for len in [4usize, 4096] {
-        let vals = cfgs
-            .iter()
-            .map(|c| ompi_latency(&Setup::paper(c.clone()), len))
-            .collect();
-        t.push(len, vals);
-    }
-    t
+    [basic, irq, one, two]
+}
+
+/// Table 1: thread-based asynchronous progress, RDMA-read rendezvous at
+/// 4 B and 4 KB across the four completion strategies.
+pub fn table1() -> Table {
+    let t = Table::new(
+        "Table 1: thread-based asynchronous progress (RDMA-Read)",
+        "us",
+        &["Basic", "Interrupt", "One Thread", "Two Threads"],
+    );
+    latency_rows(t, &table1_cfgs(), &[4, 4096])
 }
 
 fn fig10_cfgs() -> (StackConfig, StackConfig) {
@@ -232,18 +231,11 @@ pub fn multirail() -> Table {
     for len in [4096usize, 16 << 10, 64 << 10, 256 << 10, 1 << 20] {
         let mut vals = Vec::new();
         for rails in [1usize, 2] {
-            let fabric = FabricConfig {
-                rails: 2,
-                ..Default::default()
-            };
-            let setup = Setup {
-                nic: NicConfig::default(),
-                fabric,
-                stack: StackConfig::best(),
-                transports: Transports {
-                    elan_rails: rails,
-                    tcp: false,
-                },
+            let mut setup = Setup::paper(StackConfig::best());
+            setup.fabric.rails = 2;
+            setup.transports = Transports {
+                elan_rails: rails,
+                tcp: false,
             };
             vals.push(ompi_bandwidth(&setup, len, 8, 3));
         }
@@ -265,14 +257,10 @@ pub fn multinet() -> Table {
         for (rails, tcp) in [(1usize, false), (0, true), (1, true)] {
             let mut stack = StackConfig::best();
             stack.scheme = RdmaScheme::Write; // push protocol covers TCP
-            let setup = Setup {
-                nic: NicConfig::default(),
-                fabric: FabricConfig::default(),
-                stack,
-                transports: Transports {
-                    elan_rails: rails,
-                    tcp,
-                },
+            let mut setup = Setup::paper(stack);
+            setup.transports = Transports {
+                elan_rails: rails,
+                tcp,
             };
             vals.push(ompi_bandwidth(&setup, len, 4, 2));
         }
@@ -303,15 +291,8 @@ pub fn sweep_rndv_threshold() -> Table {
 /// Collective performance: hardware broadcast (global address space) vs
 /// the binomial tree, across message sizes on the full 8-node testbed.
 pub fn coll_bcast() -> Table {
-    use openmpi_core::{Placement, Universe};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
     fn bcast_us(hw: bool, len: usize) -> f64 {
-        let uni = Universe::paper_testbed(StackConfig::best());
-        let t = Arc::new(AtomicU64::new(0));
-        let t2 = t.clone();
-        uni.run_world(8, Placement::RoundRobin, move |mpi| {
+        let (ns, _) = Setup::paper(StackConfig::best()).gather(8, move |mpi| {
             let mut w = mpi.world();
             if !hw {
                 w.hw_coll = false;
@@ -324,11 +305,9 @@ pub fn coll_bcast() -> Table {
                 mpi.bcast(&w, 0, &buf, len);
             }
             mpi.barrier(&w);
-            if mpi.rank() == 0 {
-                t2.store((mpi.now() - t0).as_ns() / iters, Ordering::SeqCst);
-            }
+            (mpi.now() - t0).as_ns() / iters
         });
-        t.load(Ordering::SeqCst) as f64 / 1_000.0
+        ns[0] as f64 / 1_000.0
     }
 
     let mut t = Table::new(
@@ -345,15 +324,8 @@ pub fn coll_bcast() -> Table {
 /// One-sided put/get vs two-sided send/recv latency: RMA skips matching,
 /// headers, and receiver involvement entirely.
 pub fn onesided() -> Table {
-    use openmpi_core::{Placement, Universe};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
     fn rma_us(len: usize, get: bool) -> f64 {
-        let uni = Universe::paper_testbed(StackConfig::best());
-        let t = Arc::new(AtomicU64::new(0));
-        let t2 = t.clone();
-        uni.run_world(2, Placement::RoundRobin, move |mpi| {
+        let (ns, _) = Setup::paper(StackConfig::best()).gather(2, move |mpi| {
             let w = mpi.world();
             let wbuf = mpi.alloc(len.max(8));
             let mut win = mpi.win_create(&w, wbuf);
@@ -371,14 +343,11 @@ pub fn onesided() -> Table {
                 }
                 mpi.win_fence(&mut win);
             }
-            if mpi.rank() == 0 {
-                // Subtract the fence (pure barrier) baseline.
-                let total = (mpi.now() - t0).as_ns() / iters;
-                t2.store(total, Ordering::SeqCst);
-            }
+            let total = (mpi.now() - t0).as_ns() / iters;
             mpi.win_free(win);
+            total
         });
-        t.load(Ordering::SeqCst) as f64 / 1_000.0
+        ns[0] as f64 / 1_000.0
     }
 
     let mut t = Table::new(
@@ -397,15 +366,8 @@ pub fn onesided() -> Table {
 /// 1, 2, 4 and 8 ranks (communication/computation balance of real
 /// workloads on the stack).
 pub fn apps_scaling() -> Table {
-    use openmpi_core::{Placement, Universe};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
     fn stencil_us(ranks: usize) -> f64 {
-        let uni = Universe::paper_testbed(StackConfig::best());
-        let t = Arc::new(AtomicU64::new(0));
-        let t2 = t.clone();
-        uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
+        let (ns, _) = Setup::paper(StackConfig::best()).gather(ranks, |mpi| {
             let w = mpi.world();
             let cfg = ompi_apps::stencil::StencilConfig {
                 rows: 128,
@@ -415,19 +377,14 @@ pub fn apps_scaling() -> Table {
             };
             mpi.barrier(&w);
             let t0 = mpi.now();
-            let _ = ompi_apps::stencil::run(&mpi, &w, &cfg);
-            if mpi.rank() == 0 {
-                t2.store((mpi.now() - t0).as_ns() / 10, Ordering::SeqCst);
-            }
+            let _ = ompi_apps::stencil::run(mpi, &w, &cfg);
+            (mpi.now() - t0).as_ns() / 10
         });
-        t.load(Ordering::SeqCst) as f64 / 1_000.0
+        ns[0] as f64 / 1_000.0
     }
 
     fn cg_us(ranks: usize) -> f64 {
-        let uni = Universe::paper_testbed(StackConfig::best());
-        let t = Arc::new(AtomicU64::new(0));
-        let t2 = t.clone();
-        uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
+        let (ns, _) = Setup::paper(StackConfig::best()).gather(ranks, |mpi| {
             let w = mpi.world();
             let cfg = ompi_apps::cg::CgConfig {
                 n: 512,
@@ -436,29 +393,22 @@ pub fn apps_scaling() -> Table {
             };
             mpi.barrier(&w);
             let t0 = mpi.now();
-            let r = ompi_apps::cg::run(&mpi, &w, &cfg);
-            if mpi.rank() == 0 {
-                t2.store((mpi.now() - t0).as_ns() / r.iters as u64, Ordering::SeqCst);
-            }
+            let r = ompi_apps::cg::run(mpi, &w, &cfg);
+            (mpi.now() - t0).as_ns() / r.iters as u64
         });
-        t.load(Ordering::SeqCst) as f64 / 1_000.0
+        ns[0] as f64 / 1_000.0
     }
 
     fn ep_us(ranks: usize) -> f64 {
-        let uni = Universe::paper_testbed(StackConfig::best());
-        let t = Arc::new(AtomicU64::new(0));
-        let t2 = t.clone();
-        uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
+        let (ns, _) = Setup::paper(StackConfig::best()).gather(ranks, |mpi| {
             let w = mpi.world();
             let cfg = ompi_apps::ep::EpConfig::default();
             mpi.barrier(&w);
             let t0 = mpi.now();
-            let _ = ompi_apps::ep::run(&mpi, &w, &cfg);
-            if mpi.rank() == 0 {
-                t2.store((mpi.now() - t0).as_ns(), Ordering::SeqCst);
-            }
+            let _ = ompi_apps::ep::run(mpi, &w, &cfg);
+            (mpi.now() - t0).as_ns()
         });
-        t.load(Ordering::SeqCst) as f64 / 1_000.0
+        ns[0] as f64 / 1_000.0
     }
 
     let mut t = Table::new(
@@ -483,10 +433,6 @@ pub fn apps_scaling() -> Table {
 /// stalls until the host re-enters the library; with one-thread progress
 /// the progress thread services the ACK during the computation.
 pub fn overlap() -> Table {
-    use openmpi_core::{Placement, Universe};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
     fn total_us(progress: ProgressMode, compute_us: usize) -> f64 {
         let mut cfg = StackConfig::best();
         cfg.scheme = RdmaScheme::Write;
@@ -494,10 +440,7 @@ pub fn overlap() -> Table {
         if progress == ProgressMode::OneThread {
             cfg.completion = CompletionMode::SharedQueueCombined;
         }
-        let uni = Universe::paper_testbed(cfg);
-        let t = Arc::new(AtomicU64::new(0));
-        let t2 = t.clone();
-        uni.run_world(2, Placement::RoundRobin, move |mpi| {
+        let (ns, _) = Setup::paper(cfg).gather(2, move |mpi| {
             let w = mpi.world();
             let len = 256 << 10;
             let buf = mpi.alloc(len);
@@ -507,12 +450,13 @@ pub fn overlap() -> Table {
                 let req = mpi.isend(&w, 1, 0, &buf, len);
                 mpi.compute(qsim::Dur::from_us(compute_us as u64));
                 mpi.wait(req);
-                t2.store((mpi.now() - t0).as_ns(), Ordering::SeqCst);
+                (mpi.now() - t0).as_ns()
             } else {
                 mpi.recv(&w, 0, 0, &buf, len);
+                0
             }
         });
-        t.load(Ordering::SeqCst) as f64 / 1_000.0
+        ns[0] as f64 / 1_000.0
     }
 
     let mut t = Table::new(
@@ -535,24 +479,10 @@ pub fn overlap() -> Table {
 /// Scaling on larger machines: collective latency as the fat tree grows
 /// from one level (8 nodes) to three (64 nodes).
 pub fn scale() -> Table {
-    use openmpi_core::{Placement, Universe};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
     fn coll_us(ranks: usize, which: u8) -> f64 {
-        let fabric = FabricConfig {
-            nodes: ranks.max(8),
-            ..Default::default()
-        };
-        let uni = Universe::new(
-            NicConfig::default(),
-            fabric,
-            StackConfig::best(),
-            Transports::default(),
-        );
-        let t = Arc::new(AtomicU64::new(0));
-        let t2 = t.clone();
-        uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
+        let mut setup = Setup::paper(StackConfig::best());
+        setup.fabric.nodes = ranks.max(8);
+        let (ns, _) = setup.gather(ranks, move |mpi| {
             let w = mpi.world();
             let buf = mpi.alloc(1024);
             mpi.barrier(&w);
@@ -566,11 +496,9 @@ pub fn scale() -> Table {
                 }
             }
             mpi.barrier(&w);
-            if mpi.rank() == 0 {
-                t2.store((mpi.now() - t0).as_ns() / iters, Ordering::SeqCst);
-            }
+            (mpi.now() - t0).as_ns() / iters
         });
-        t.load(Ordering::SeqCst) as f64 / 1_000.0
+        ns[0] as f64 / 1_000.0
     }
 
     let mut t = Table::new(
@@ -591,31 +519,21 @@ pub fn scale() -> Table {
 /// shared checkpoint file; striping across more I/O nodes scales until the
 /// ranks' request rate saturates.
 pub fn io_scaling() -> Table {
-    use openmpi_core::{Placement, Universe};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
     fn bw(io_nodes: usize, block: usize) -> f64 {
-        let uni = Universe::paper_testbed(StackConfig::best());
         let pfs = ompi_io::Pfs::new(ompi_io::PfsConfig {
             io_nodes,
             ..Default::default()
         });
-        let t = Arc::new(AtomicU64::new(0));
-        let t2 = t.clone();
-        uni.run_world(8, Placement::RoundRobin, move |mpi| {
+        let (ns, _) = Setup::paper(StackConfig::best()).gather(8, move |mpi| {
             let w = mpi.world();
-            let f = ompi_io::File::open(&mpi, &pfs, &w, "ckpt");
+            let f = ompi_io::File::open(mpi, &pfs, &w, "ckpt");
             let buf = mpi.alloc(block);
             mpi.barrier(&w);
             let t0 = mpi.now();
-            f.write_all(&mpi, 0, &buf, block);
-            if mpi.rank() == 0 {
-                t2.store((mpi.now() - t0).as_ns(), Ordering::SeqCst);
-            }
+            f.write_all(mpi, 0, &buf, block);
+            (mpi.now() - t0).as_ns()
         });
-        let ns = t.load(Ordering::SeqCst) as f64;
-        (8 * block) as f64 / (ns / 1e9) / 1e6
+        (8 * block) as f64 / (ns[0] as f64 / 1e9) / 1e6
     }
 
     let mut t = Table::new(
@@ -642,20 +560,10 @@ pub fn sweep_irq_cost() -> Table {
             irq_latency: qsim::Dur::from_us(irq_us as u64),
             ..Default::default()
         };
-        let basic = Setup {
+        let [basic, interrupt, ..] = table1_cfgs().map(|stack| Setup {
             nic: nic.clone(),
-            fabric: FabricConfig::default(),
-            stack: rndv_cfg(RdmaScheme::Read, false, false),
-            transports: Transports::default(),
-        };
-        let mut istack = rndv_cfg(RdmaScheme::Read, false, false);
-        istack.progress = ProgressMode::Interrupt;
-        let interrupt = Setup {
-            nic,
-            fabric: FabricConfig::default(),
-            stack: istack,
-            transports: Transports::default(),
-        };
+            ..Setup::paper(stack)
+        });
         t.push(
             irq_us,
             vec![ompi_latency(&basic, 4), ompi_latency(&interrupt, 4)],

@@ -6,9 +6,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use elan4::{Cluster, ElanCtx, NicConfig};
-use mpich_qsnet::{run_mpich, MpichConfig};
+use mpich_qsnet::{run_mpich, MpichConfig, MpichRank};
 use openmpi_core::{
-    Metrics, Placement, PtlKind, PtlTraffic, StackConfig, TraceLog, Transports, Universe,
+    Metrics, Mpi, Placement, PtlKind, PtlTraffic, StackConfig, TraceLog, Transports, Universe,
+    ANY_SOURCE,
 };
 use qsim::Mutex;
 use qsim::{Dur, Simulation};
@@ -25,6 +26,11 @@ fn pattern(n: usize, seed: u8) -> Vec<u8> {
     (0..n)
         .map(|i| ((i * 31 + seed as usize) % 251) as u8)
         .collect()
+}
+
+/// Mean half round trip in µs of `rounds` timed round trips lasting `ns`.
+fn half_rtt_us(ns: u64, rounds: usize) -> f64 {
+    (ns / (2 * rounds as u64)) as f64 / 1_000.0
 }
 
 /// A fully specified machine + stack for one measurement.
@@ -54,79 +60,130 @@ impl Setup {
             self.transports.clone(),
         )
     }
+
+    /// Run `body` on every rank of a `ranks`-process world and return each
+    /// rank's result in rank order, with the kernel's report for the run.
+    pub fn gather<T: Send + 'static>(
+        &self,
+        ranks: usize,
+        body: impl Fn(&Mpi) -> T + Send + Sync + 'static,
+    ) -> (Vec<T>, qsim::Report) {
+        gather(&self.universe(), ranks, body)
+    }
+}
+
+/// [`Setup::gather`] on a universe the caller has already prepared (fault
+/// injection armed, interval recording on).
+fn gather<T: Send + 'static>(
+    uni: &Arc<Universe>,
+    ranks: usize,
+    body: impl Fn(&Mpi) -> T + Send + Sync + 'static,
+) -> (Vec<T>, qsim::Report) {
+    let slots: Arc<Mutex<Vec<Option<T>>>> =
+        Arc::new(Mutex::new((0..ranks).map(|_| None).collect()));
+    let s2 = slots.clone();
+    let report = uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
+        let value = body(&mpi);
+        s2.lock()[mpi.rank()] = Some(value);
+    });
+    let values = std::mem::take(&mut *slots.lock())
+        .into_iter()
+        .map(|v| v.expect("every rank returned"))
+        .collect();
+    (values, report)
+}
+
+/// The ping-pong every latency measurement shares: rank 0 against each
+/// other rank in turn. Allocates and fills the buffers, runs `warmup`
+/// untimed rounds, synchronizes, then times `iters` rounds; returns this
+/// rank's elapsed virtual ns over the timed rounds.
+fn pingpong(mpi: &Mpi, len: usize, warmup: usize, iters: usize) -> u64 {
+    let w = mpi.world();
+    let sbuf = mpi.alloc(len.max(1));
+    let rbuf = mpi.alloc(len.max(1));
+    mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
+    let round = || {
+        if mpi.rank() == 0 {
+            for peer in 1..mpi.size() {
+                mpi.send(&w, peer, 0, &sbuf, len);
+                mpi.recv(&w, peer as i32, 0, &rbuf, len);
+            }
+        } else {
+            mpi.recv(&w, 0, 0, &rbuf, len);
+            mpi.send(&w, 0, 0, &sbuf, len);
+        }
+    };
+    (0..warmup).for_each(|_| round());
+    mpi.barrier(&w);
+    let t0 = mpi.now();
+    (0..iters).for_each(|_| round());
+    (mpi.now() - t0).as_ns()
+}
+
+/// The N-to-1 incast every congestion measurement shares: ranks
+/// `1..=senders` each send `msgs` messages of `len` bytes to rank 0, which
+/// computes for `delay` first and then receives them all from
+/// `ANY_SOURCE`; every rank then joins a barrier. With `burst` each sender
+/// posts its messages as isends completed by one waitall, else as blocking
+/// sends. Returns the number of messages this rank received.
+fn incast(mpi: &Mpi, len: usize, senders: usize, msgs: usize, delay: Dur, burst: bool) -> u64 {
+    let w = mpi.world();
+    let mut received = 0;
+    if mpi.rank() == 0 {
+        if delay > Dur::ZERO {
+            mpi.compute(delay);
+        }
+        let rbuf = mpi.alloc(len.max(1));
+        for _ in 0..senders * msgs {
+            mpi.recv(&w, ANY_SOURCE, 0, &rbuf, len);
+            received += 1;
+        }
+        mpi.free(rbuf);
+    } else if mpi.rank() <= senders {
+        let sbuf = mpi.alloc(len.max(1));
+        mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
+        if burst {
+            let reqs: Vec<_> = (0..msgs).map(|_| mpi.isend(&w, 0, 0, &sbuf, len)).collect();
+            mpi.waitall(reqs);
+        } else {
+            (0..msgs).for_each(|_| mpi.send(&w, 0, 0, &sbuf, len));
+        }
+        mpi.free(sbuf);
+    }
+    mpi.barrier(&w);
+    received
 }
 
 /// Half round-trip latency of `len`-byte messages, in µs.
 pub fn ompi_latency(setup: &Setup, len: usize) -> f64 {
-    let lat = Arc::new(AtomicU64::new(0));
-    let l2 = lat.clone();
-    setup
-        .universe()
-        .run_world(2, Placement::RoundRobin, move |mpi| {
-            let w = mpi.world();
-            let sbuf = mpi.alloc(len.max(1));
-            let rbuf = mpi.alloc(len.max(1));
-            mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
-            let round = |i: usize| {
-                let _ = i;
-                if mpi.rank() == 0 {
-                    mpi.send(&w, 1, 0, &sbuf, len);
-                    mpi.recv(&w, 1, 0, &rbuf, len);
-                } else {
-                    mpi.recv(&w, 0, 0, &rbuf, len);
-                    mpi.send(&w, 0, 0, &sbuf, len);
-                }
-            };
-            for i in 0..WARMUP {
-                round(i);
-            }
-            mpi.barrier(&w);
-            let t0 = mpi.now();
-            for i in 0..ITERS {
-                round(i);
-            }
-            if mpi.rank() == 0 {
-                l2.store(
-                    (mpi.now() - t0).as_ns() / (2 * ITERS as u64),
-                    Ordering::SeqCst,
-                );
-            }
-        });
-    lat.load(Ordering::SeqCst) as f64 / 1_000.0
+    let (ns, _) = setup.gather(2, move |mpi| pingpong(mpi, len, WARMUP, ITERS));
+    half_rtt_us(ns[0], ITERS)
 }
 
 /// Streaming bandwidth in MB/s: `window` messages of `len` bytes in flight,
 /// `reps` windows, closed by a zero-byte ack.
 pub fn ompi_bandwidth(setup: &Setup, len: usize, window: usize, reps: usize) -> f64 {
-    let bw = Arc::new(Mutex::new(0.0f64));
-    let b2 = bw.clone();
-    setup
-        .universe()
-        .run_world(2, Placement::RoundRobin, move |mpi| {
-            let w = mpi.world();
-            let bufs: Vec<_> = (0..window).map(|_| mpi.alloc(len.max(1))).collect();
-            let ack = mpi.alloc(1);
-            mpi.barrier(&w);
-            let t0 = mpi.now();
-            for _ in 0..reps {
-                if mpi.rank() == 0 {
-                    let reqs: Vec<_> = bufs.iter().map(|b| mpi.isend(&w, 1, 0, b, len)).collect();
-                    mpi.waitall(reqs);
-                    mpi.recv(&w, 1, 1, &ack, 0);
-                } else {
-                    let reqs: Vec<_> = bufs.iter().map(|b| mpi.irecv(&w, 0, 0, b, len)).collect();
-                    mpi.waitall(reqs);
-                    mpi.send(&w, 0, 1, &ack, 0);
-                }
-            }
+    let (ns, _) = setup.gather(2, move |mpi| {
+        let w = mpi.world();
+        let bufs: Vec<_> = (0..window).map(|_| mpi.alloc(len.max(1))).collect();
+        let ack = mpi.alloc(1);
+        mpi.barrier(&w);
+        let t0 = mpi.now();
+        for _ in 0..reps {
             if mpi.rank() == 0 {
-                let ns = (mpi.now() - t0).as_ns();
-                let bytes = (len * window * reps) as f64;
-                *b2.lock() = bytes / (ns as f64 / 1e9) / 1e6;
+                let reqs: Vec<_> = bufs.iter().map(|b| mpi.isend(&w, 1, 0, b, len)).collect();
+                mpi.waitall(reqs);
+                mpi.recv(&w, 1, 1, &ack, 0);
+            } else {
+                let reqs: Vec<_> = bufs.iter().map(|b| mpi.irecv(&w, 0, 0, b, len)).collect();
+                mpi.waitall(reqs);
+                mpi.send(&w, 0, 1, &ack, 0);
             }
-        });
-    let v = *bw.lock();
-    v
+        }
+        (mpi.now() - t0).as_ns()
+    });
+    let bytes = (len * window * reps) as f64;
+    bytes / (ns[0] as f64 / 1e9) / 1e6
 }
 
 /// Everything captured from one instrumented run: per-rank counter and
@@ -207,109 +264,6 @@ impl Telemetry {
     }
 }
 
-/// Run a `ranks`-process ping-pong (rank 0 against each peer in turn) with
-/// metrics and tracing forced on, and collect every rank's telemetry.
-pub fn telemetry_pingpong(setup: &Setup, ranks: usize, len: usize, iters: usize) -> Telemetry {
-    type Row = (u32, Metrics, Vec<PtlTraffic>, TraceLog);
-    let mut setup = setup.clone();
-    setup.stack.metrics = true;
-    setup.stack.trace = true;
-    let collected: Arc<Mutex<Vec<Row>>> = Arc::new(Mutex::new(Vec::new()));
-    let c2 = collected.clone();
-    let report = setup
-        .universe()
-        .run_world(ranks, Placement::RoundRobin, move |mpi| {
-            let w = mpi.world();
-            let sbuf = mpi.alloc(len.max(1));
-            let rbuf = mpi.alloc(len.max(1));
-            mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
-            for _ in 0..iters {
-                if mpi.rank() == 0 {
-                    for peer in 1..ranks {
-                        mpi.send(&w, peer, 0, &sbuf, len);
-                        mpi.recv(&w, peer as i32, 0, &rbuf, len);
-                    }
-                } else {
-                    mpi.recv(&w, 0, 0, &rbuf, len);
-                    mpi.send(&w, 0, 0, &sbuf, len);
-                }
-            }
-            mpi.barrier(&w);
-            let ep = mpi.endpoint();
-            c2.lock().push((
-                mpi.rank() as u32,
-                ep.metrics_snapshot(),
-                ep.ptls.lock().traffic(),
-                ep.trace.lock().clone(),
-            ));
-        });
-    let mut rows = std::mem::take(&mut *collected.lock());
-    rows.sort_by_key(|(r, ..)| *r);
-    Telemetry {
-        per_rank: rows.iter().map(|(_, m, ..)| m.clone()).collect(),
-        traffic: rows.iter().map(|(_, _, t, _)| t.clone()).collect(),
-        traces: rows.into_iter().map(|(r, _, _, log)| (r, log)).collect(),
-        report,
-    }
-}
-
-/// A rendezvous ping-pong over the TCP PTL with `drops` FIN_ACK control
-/// frames vanishing off the wire: the reliability layer retransmits each
-/// one after its timeout and the run completes. The returned telemetry
-/// shows the loss being absorbed — `retransmits` equals the injected drop
-/// count, `gave_up` stays zero — instead of a watchdog abort.
-pub fn reliability_pingpong(setup: &Setup, len: usize, drops: u64) -> Telemetry {
-    type Row = (u32, Metrics, Vec<PtlTraffic>, TraceLog);
-    let mut setup = setup.clone();
-    setup.stack.metrics = true;
-    setup.stack.trace = true;
-    // Control frames ride the TCP PTL (where the reliability layer lives)
-    // only when it is the sole transport.
-    setup.stack.inline_first_frag = true;
-    setup.transports = Transports {
-        elan_rails: 0,
-        tcp: true,
-    };
-    let uni = setup.universe();
-    uni.tcp_net
-        .inject_drop(openmpi_core::hdr::HdrType::FinAck, drops);
-    // One rendezvous round trip per injected drop, plus one clean round.
-    let iters = drops as usize + 1;
-    let collected: Arc<Mutex<Vec<Row>>> = Arc::new(Mutex::new(Vec::new()));
-    let c2 = collected.clone();
-    let report = uni.run_world(2, Placement::RoundRobin, move |mpi| {
-        let w = mpi.world();
-        let sbuf = mpi.alloc(len.max(1));
-        let rbuf = mpi.alloc(len.max(1));
-        mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
-        for _ in 0..iters {
-            if mpi.rank() == 0 {
-                mpi.send(&w, 1, 0, &sbuf, len);
-                mpi.recv(&w, 1, 0, &rbuf, len);
-            } else {
-                mpi.recv(&w, 0, 0, &rbuf, len);
-                mpi.send(&w, 0, 0, &sbuf, len);
-            }
-        }
-        mpi.barrier(&w);
-        let ep = mpi.endpoint();
-        c2.lock().push((
-            mpi.rank() as u32,
-            ep.metrics_snapshot(),
-            ep.ptls.lock().traffic(),
-            ep.trace.lock().clone(),
-        ));
-    });
-    let mut rows = std::mem::take(&mut *collected.lock());
-    rows.sort_by_key(|(r, ..)| *r);
-    Telemetry {
-        per_rank: rows.iter().map(|(_, m, ..)| m.clone()).collect(),
-        traffic: rows.iter().map(|(_, _, t, _)| t.clone()).collect(),
-        traces: rows.into_iter().map(|(r, _, _, log)| (r, log)).collect(),
-        report,
-    }
-}
-
 /// One side (cache off or on) of the registration-cache comparison.
 pub struct RegBenchSide {
     /// Mean half-round-trip latency in µs.
@@ -369,40 +323,14 @@ impl RegBenchReport {
 fn reg_bench_side(setup: &Setup, len: usize, iters: usize, cache: bool) -> RegBenchSide {
     let mut setup = setup.clone();
     setup.stack.reg_cache = cache;
-    let lat = Arc::new(AtomicU64::new(0));
-    let stats: Arc<Mutex<Option<openmpi_core::RegStats>>> = Arc::new(Mutex::new(None));
-    let (l2, s2) = (lat.clone(), stats.clone());
-    setup
-        .universe()
-        .run_world(2, Placement::RoundRobin, move |mpi| {
-            let w = mpi.world();
-            let sbuf = mpi.alloc(len);
-            let rbuf = mpi.alloc(len);
-            mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
-            // Deliberately no warm-up: the registration cost on a *reused*
-            // buffer is exactly what this benchmark measures.
-            mpi.barrier(&w);
-            let t0 = mpi.now();
-            for _ in 0..iters {
-                if mpi.rank() == 0 {
-                    mpi.send(&w, 1, 0, &sbuf, len);
-                    mpi.recv(&w, 1, 0, &rbuf, len);
-                } else {
-                    mpi.recv(&w, 0, 0, &rbuf, len);
-                    mpi.send(&w, 0, 0, &sbuf, len);
-                }
-            }
-            if mpi.rank() == 0 {
-                l2.store(
-                    (mpi.now() - t0).as_ns() / (2 * iters as u64),
-                    Ordering::SeqCst,
-                );
-                *s2.lock() = Some(mpi.endpoint().reg_stats());
-            }
-        });
-    let stats = stats.lock().take().expect("rank 0 recorded its stats");
+    // Deliberately no warm-up: the registration cost on a *reused* buffer is
+    // exactly what this benchmark measures.
+    let (mut rows, _) = setup.gather(2, move |mpi| {
+        (pingpong(mpi, len, 0, iters), mpi.endpoint().reg_stats())
+    });
+    let (ns, stats) = rows.swap_remove(0);
     RegBenchSide {
-        latency_us: lat.load(Ordering::SeqCst) as f64 / 1_000.0,
+        latency_us: half_rtt_us(ns, iters),
         stats,
     }
 }
@@ -545,94 +473,110 @@ impl IntrospectReport {
     }
 }
 
-/// The instrumented ping-pong of [`telemetry_pingpong`] with the progress
-/// watchdog armed and the introspection plane active: each rank snapshots
-/// its pvars and publishes them through the RTE, rank 0 aggregates the
-/// cluster report. Telemetry and introspection come from the *same* run, so
+/// One rank's share of an instrumented run.
+struct RankCapture {
+    metrics: Metrics,
+    traffic: Vec<PtlTraffic>,
+    trace: TraceLog,
+    /// Pvar snapshot, taken when the watchdog is armed.
+    pvars: Option<openmpi_core::PvarSnapshot>,
+    /// The cluster-wide pvar aggregation, built on rank 0 only.
+    cluster: Option<ompi_rte::ClusterReport>,
+    stalls: u64,
+    diagnostics: Vec<String>,
+}
+
+/// Run a `ranks`-process ping-pong (rank 0 against each peer in turn,
+/// `iters` rounds) with metrics and tracing forced on, and collect every
+/// rank's telemetry.
+///
+/// With `watchdog` set, the progress watchdog is armed at that interval and
+/// the introspection plane is active: each rank snapshots its pvars and
+/// publishes them through the RTE, and rank 0 aggregates the cluster
+/// report. Telemetry and introspection then come from the *same* run, so
 /// the pvar totals and the metrics JSON agree by construction.
-pub fn introspect_pingpong(
+///
+/// With `fin_ack_drops` > 0 the ping-pong runs over the TCP PTL with that
+/// many FIN_ACK control frames vanishing off the wire: the reliability
+/// layer retransmits each one after its timeout and the run completes, so
+/// the telemetry shows the loss being absorbed — `retransmits` equals the
+/// injected drop count, `gave_up` stays zero — instead of a watchdog abort.
+pub fn instrumented_pingpong(
     setup: &Setup,
     ranks: usize,
     len: usize,
     iters: usize,
-    watchdog_interval: u64,
-) -> (Telemetry, IntrospectReport) {
-    type Row = (
-        u32,
-        Metrics,
-        Vec<PtlTraffic>,
-        TraceLog,
-        openmpi_core::PvarSnapshot,
-        u64,
-        Vec<String>,
-    );
+    watchdog: Option<u64>,
+    fin_ack_drops: u64,
+) -> (Telemetry, Option<IntrospectReport>) {
     let mut setup = setup.clone();
     setup.stack.metrics = true;
     setup.stack.trace = true;
-    setup.stack.watchdog_interval = watchdog_interval;
-    let collected: Arc<Mutex<Vec<Row>>> = Arc::new(Mutex::new(Vec::new()));
-    let cluster: Arc<Mutex<Option<ompi_rte::ClusterReport>>> = Arc::new(Mutex::new(None));
-    let c2 = collected.clone();
-    let cl2 = cluster.clone();
-    let report = setup
-        .universe()
-        .run_world(ranks, Placement::RoundRobin, move |mpi| {
-            let w = mpi.world();
-            let sbuf = mpi.alloc(len.max(1));
-            let rbuf = mpi.alloc(len.max(1));
-            mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
-            for _ in 0..iters {
-                if mpi.rank() == 0 {
-                    for peer in 1..ranks {
-                        mpi.send(&w, peer, 0, &sbuf, len);
-                        mpi.recv(&w, peer as i32, 0, &rbuf, len);
-                    }
-                } else {
-                    mpi.recv(&w, 0, 0, &rbuf, len);
-                    mpi.send(&w, 0, 0, &sbuf, len);
-                }
-            }
-            mpi.barrier(&w);
-            let ep = mpi.endpoint();
+    if let Some(interval) = watchdog {
+        setup.stack.watchdog_interval = interval;
+    }
+    if fin_ack_drops > 0 {
+        // Control frames ride the TCP PTL (where the reliability layer
+        // lives) only when it is the sole transport.
+        setup.stack.inline_first_frag = true;
+        setup.transports = Transports {
+            elan_rails: 0,
+            tcp: true,
+        };
+    }
+    let uni = setup.universe();
+    if fin_ack_drops > 0 {
+        uni.tcp_net
+            .inject_drop(openmpi_core::hdr::HdrType::FinAck, fin_ack_drops);
+    }
+    let (mut rows, report) = gather(&uni, ranks, move |mpi| {
+        pingpong(mpi, len, iters, 0);
+        let ep = mpi.endpoint();
+        let mut cluster = None;
+        let pvars = watchdog.map(|_| {
             let snap = openmpi_core::pvar_snapshot(ep);
             ep.rte.pvar_publish(mpi.proc(), ep.name, &snap.vars);
             if mpi.rank() == 0 {
                 let per_rank = ep.rte.pvar_collect(mpi.proc(), ep.name.job);
-                *cl2.lock() = Some(ompi_rte::ClusterReport::build(&per_rank));
+                cluster = Some(ompi_rte::ClusterReport::build(&per_rank));
             }
-            let (stalls, diags) = {
-                let ins = ep.introspect.lock();
-                (
-                    ins.stalls_detected,
-                    ins.diagnostics.iter().map(|d| d.to_json()).collect(),
-                )
-            };
-            c2.lock().push((
-                mpi.rank() as u32,
-                ep.metrics_snapshot(),
-                ep.ptls.lock().traffic(),
-                ep.trace.lock().clone(),
-                snap,
-                stalls,
-                diags,
-            ));
+            snap
         });
-    let mut rows = std::mem::take(&mut *collected.lock());
-    rows.sort_by_key(|(r, ..)| *r);
+        let (stalls, diagnostics) = {
+            let ins = ep.introspect.lock();
+            (
+                ins.stalls_detected,
+                ins.diagnostics.iter().map(|d| d.to_json()).collect(),
+            )
+        };
+        RankCapture {
+            metrics: ep.metrics_snapshot(),
+            traffic: ep.ptls.lock().traffic(),
+            trace: ep.trace.lock().clone(),
+            pvars,
+            cluster,
+            stalls,
+            diagnostics,
+        }
+    });
+    let introspect = watchdog.map(|_| IntrospectReport {
+        cluster: rows[0].cluster.take().expect("rank 0 built the report"),
+        snapshots: rows.iter_mut().filter_map(|r| r.pvars.take()).collect(),
+        stalls: rows.iter().map(|r| r.stalls).sum(),
+        diagnostics: rows
+            .iter_mut()
+            .flat_map(|r| r.diagnostics.drain(..))
+            .collect(),
+    });
     let telemetry = Telemetry {
-        per_rank: rows.iter().map(|(_, m, ..)| m.clone()).collect(),
-        traffic: rows.iter().map(|(_, _, t, ..)| t.clone()).collect(),
+        per_rank: rows.iter().map(|r| r.metrics.clone()).collect(),
+        traffic: rows.iter().map(|r| r.traffic.clone()).collect(),
         traces: rows
-            .iter()
-            .map(|(r, _, _, log, ..)| (*r, log.clone()))
+            .into_iter()
+            .enumerate()
+            .map(|(rank, r)| (rank as u32, r.trace))
             .collect(),
         report,
-    };
-    let introspect = IntrospectReport {
-        cluster: cluster.lock().take().expect("rank 0 built the report"),
-        snapshots: rows.iter().map(|(.., s, _, _)| s.clone()).collect(),
-        stalls: rows.iter().map(|(.., st, _)| *st).sum(),
-        diagnostics: rows.into_iter().flat_map(|(.., d)| d).collect(),
     };
     (telemetry, introspect)
 }
@@ -688,55 +632,32 @@ pub fn incast_congestion(
     iters: usize,
     top_n: usize,
 ) -> CongestionCapture {
-    type Row = (u32, openmpi_core::PvarSnapshot);
     let mut setup = setup.clone();
     setup.stack.metrics = true;
-    let collected: Arc<Mutex<Vec<Row>>> = Arc::new(Mutex::new(Vec::new()));
-    let cluster: Arc<Mutex<Option<ompi_rte::ClusterReport>>> = Arc::new(Mutex::new(None));
-    let fabric: Arc<Mutex<Option<Arc<qsnet::Fabric>>>> = Arc::new(Mutex::new(None));
-    let (c2, cl2, f2) = (collected.clone(), cluster.clone(), fabric.clone());
-    let report = setup
-        .universe()
-        .run_world(ranks, Placement::RoundRobin, move |mpi| {
-            let w = mpi.world();
-            if mpi.rank() == 0 {
-                let rbuf = mpi.alloc(len.max(1));
-                for _ in 0..iters {
-                    for _ in 1..ranks {
-                        mpi.recv(&w, openmpi_core::ANY_SOURCE, 0, &rbuf, len);
-                    }
-                }
-            } else {
-                let sbuf = mpi.alloc(len.max(1));
-                mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
-                for _ in 0..iters {
-                    mpi.send(&w, 0, 0, &sbuf, len);
-                }
-            }
-            mpi.barrier(&w);
-            let ep = mpi.endpoint();
-            let snap = openmpi_core::pvar_snapshot(ep);
-            ep.rte.pvar_publish(mpi.proc(), ep.name, &snap.vars);
-            if mpi.rank() == 0 {
-                let per_rank = ep.rte.pvar_collect(mpi.proc(), ep.name.job);
-                *cl2.lock() = Some(ompi_rte::ClusterReport::build(&per_rank));
-                *f2.lock() = Some(ep.cluster.fabric().clone());
-            }
-            c2.lock().push((mpi.rank() as u32, snap));
+    let (mut rows, report) = setup.gather(ranks, move |mpi| {
+        incast(mpi, len, ranks - 1, iters, Dur::ZERO, false);
+        let ep = mpi.endpoint();
+        let snap = openmpi_core::pvar_snapshot(ep);
+        ep.rte.pvar_publish(mpi.proc(), ep.name, &snap.vars);
+        let rank0 = (mpi.rank() == 0).then(|| {
+            let per_rank = ep.rte.pvar_collect(mpi.proc(), ep.name.job);
+            (
+                ompi_rte::ClusterReport::build(&per_rank),
+                ep.cluster.fabric().clone(),
+            )
         });
-    let mut rows = std::mem::take(&mut *collected.lock());
-    rows.sort_by_key(|(r, _)| *r);
+        (snap, rank0)
+    });
+    let (cluster, fabric) = rows[0].1.take().expect("rank 0 built the report");
     let hot_rank = rows
         .iter()
-        .max_by_key(|(_, s)| s.get("fab.ej.busy_ns").unwrap_or(0))
-        .map(|(r, _)| *r as usize)
-        .unwrap_or(0);
-    let fabric = fabric.lock().take().expect("rank 0 captured the fabric");
-    let cluster = cluster.lock().take().expect("rank 0 built the report");
+        .enumerate()
+        .max_by_key(|(_, (s, _))| s.get("fab.ej.busy_ns").unwrap_or(0))
+        .map_or(0, |(r, _)| r);
     CongestionCapture {
         congestion: fabric.congestion_report(report.end_time, top_n),
         cluster,
-        snapshots: rows.into_iter().map(|(_, s)| s).collect(),
+        snapshots: rows.into_iter().map(|(s, _)| s).collect(),
         hot_rank,
     }
 }
@@ -819,77 +740,44 @@ pub fn flow_scenario(
     let mut setup = setup.clone();
     setup.stack.metrics = true;
     setup.stack.flow_enable = flow_on;
-    let metrics: Arc<Mutex<Vec<Metrics>>> = Arc::new(Mutex::new(Vec::new()));
-    let victim_peak = Arc::new(AtomicU64::new(0));
-    let delivered = Arc::new(AtomicU64::new(0));
-    let overflows = Arc::new(AtomicU64::new(0));
-    let (m2, v2, d2, o2) = (
-        metrics.clone(),
-        victim_peak.clone(),
-        delivered.clone(),
-        overflows.clone(),
-    );
-    let report = setup
-        .universe()
-        .run_world(ranks, Placement::RoundRobin, move |mpi| {
-            let w = mpi.world();
-            match workload {
-                FlowWorkload::Incast { msgs, delay_ns }
-                | FlowWorkload::Flood { msgs, delay_ns } => {
-                    let senders = match workload {
-                        FlowWorkload::Flood { .. } => 1,
-                        _ => ranks - 1,
-                    };
-                    if mpi.rank() == 0 {
-                        mpi.compute(Dur::from_ns(delay_ns));
-                        let rbuf = mpi.alloc(len.max(1));
-                        for _ in 0..senders * msgs {
-                            mpi.recv(&w, openmpi_core::ANY_SOURCE, 0, &rbuf, len);
-                            d2.fetch_add(1, Ordering::Relaxed);
-                        }
-                        mpi.free(rbuf);
-                    } else if mpi.rank() <= senders {
-                        let sbuf = mpi.alloc(len.max(1));
-                        mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
-                        let reqs: Vec<_> =
-                            (0..msgs).map(|_| mpi.isend(&w, 0, 0, &sbuf, len)).collect();
-                        mpi.waitall(reqs);
-                        mpi.free(sbuf);
-                    }
-                }
-                FlowWorkload::AllToAll { msgs } => {
-                    let sbuf = mpi.alloc(len.max(1));
-                    let rbuf = mpi.alloc(len.max(1));
-                    mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
-                    let reqs: Vec<_> = (0..ranks)
-                        .filter(|&dst| dst != mpi.rank())
-                        .flat_map(|dst| (0..msgs).map(move |_| (dst, 0)))
-                        .map(|(dst, tag)| mpi.isend(&w, dst, tag, &sbuf, len))
-                        .collect();
-                    for _ in 0..(ranks - 1) * msgs {
-                        mpi.recv(&w, openmpi_core::ANY_SOURCE, 0, &rbuf, len);
-                        d2.fetch_add(1, Ordering::Relaxed);
-                    }
-                    mpi.waitall(reqs);
-                    mpi.free(sbuf);
-                    mpi.free(rbuf);
-                }
+    let (rows, report) = setup.gather(ranks, move |mpi| {
+        let received = match workload {
+            FlowWorkload::Incast { msgs, delay_ns } => {
+                incast(mpi, len, ranks - 1, msgs, Dur::from_ns(delay_ns), true)
             }
-            mpi.barrier(&w);
-            let ep = mpi.endpoint();
-            if mpi.rank() == 0 {
-                let (_, ej) = ep.cluster.fabric().node_link_totals(ep.node);
-                v2.store(ej.queue_peak, Ordering::SeqCst);
-                o2.store(ep.cluster.stats().queue_overflows, Ordering::SeqCst);
+            FlowWorkload::Flood { msgs, delay_ns } => {
+                incast(mpi, len, 1, msgs, Dur::from_ns(delay_ns), true)
             }
-            m2.lock().push(ep.metrics_snapshot());
-        });
-    let rows = std::mem::take(&mut *metrics.lock());
+            FlowWorkload::AllToAll { msgs } => {
+                let w = mpi.world();
+                let sbuf = mpi.alloc(len.max(1));
+                let rbuf = mpi.alloc(len.max(1));
+                mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
+                let reqs: Vec<_> = (0..ranks)
+                    .filter(|&dst| dst != mpi.rank())
+                    .flat_map(|dst| (0..msgs).map(move |_| (dst, 0)))
+                    .map(|(dst, tag)| mpi.isend(&w, dst, tag, &sbuf, len))
+                    .collect();
+                for _ in 0..(ranks - 1) * msgs {
+                    mpi.recv(&w, ANY_SOURCE, 0, &rbuf, len);
+                }
+                mpi.waitall(reqs);
+                mpi.free(sbuf);
+                mpi.free(rbuf);
+                mpi.barrier(&w);
+                ((ranks - 1) * msgs) as u64
+            }
+        };
+        let ep = mpi.endpoint();
+        let (_, ej) = ep.cluster.fabric().node_link_totals(ep.node);
+        let overflows = ep.cluster.stats().queue_overflows;
+        (received, ej.queue_peak, overflows, ep.metrics_snapshot())
+    });
     let sum = |f: fn(&openmpi_core::metrics::Counters) -> u64| -> u64 {
-        rows.iter().map(|m| f(&m.counters)).sum()
+        rows.iter().map(|(.., m)| f(&m.counters)).sum()
     };
     let completion_ns = report.end_time.as_ns();
-    let msgs = delivered.load(Ordering::SeqCst);
+    let msgs: u64 = rows.iter().map(|(received, ..)| received).sum();
     let name = format!(
         "{}.{}",
         match workload {
@@ -908,13 +796,14 @@ pub fn flow_scenario(
         } else {
             msgs as f64 * 1e9 / completion_ns as f64
         },
-        victim_ej_queue_peak: victim_peak.load(Ordering::SeqCst),
+        // The victim is rank 0's node.
+        victim_ej_queue_peak: rows[0].1,
         pool_fallbacks: sum(|c| c.flow_pool_fallbacks),
         pool_hits: sum(|c| c.flow_pool_hits),
         sends_queued: sum(|c| c.flow_sends_queued),
         credit_frames: sum(|c| c.flow_credit_frames),
         grant_deferrals: sum(|c| c.flow_grant_deferrals),
-        qdma_overflows: overflows.load(Ordering::SeqCst),
+        qdma_overflows: rows[0].2,
     }
 }
 
@@ -974,16 +863,17 @@ pub fn flow_bench(setup: &Setup) -> FlowBenchReport {
         delay_ns: 400_000,
     };
     let run = |flow_on: bool, wl: FlowWorkload| flow_scenario(setup, 8, 1 << 10, flow_on, wl);
-    let mut off = setup.clone();
-    off.stack.flow_enable = false;
-    let mut on = setup.clone();
-    on.stack.flow_enable = true;
+    let pingpong = |flow_on: bool| {
+        let mut setup = setup.clone();
+        setup.stack.flow_enable = flow_on;
+        ompi_latency(&setup, 1 << 10)
+    };
     FlowBenchReport {
         incast: (run(false, incast), run(true, incast)),
         alltoall: (run(false, alltoall), run(true, alltoall)),
         flood: (run(false, flood), run(true, flood)),
-        pingpong_off_us: ompi_latency(&off, 1 << 10),
-        pingpong_on_us: ompi_latency(&on, 1 << 10),
+        pingpong_off_us: pingpong(false),
+        pingpong_on_us: pingpong(true),
     }
 }
 
@@ -1018,7 +908,6 @@ impl CritPathCapture {
 /// handshake, wire occupancy, registration the pipeline failed to hide,
 /// and the FIN exchange.
 pub fn critpath_pingpong(setup: &Setup, len: usize, iters: usize) -> CritPathCapture {
-    type Row = (u32, TraceLog, Vec<(u64, u64)>);
     let mut setup = setup.clone();
     setup.stack.metrics = true;
     setup.stack.trace = true;
@@ -1026,33 +915,17 @@ pub fn critpath_pingpong(setup: &Setup, len: usize, iters: usize) -> CritPathCap
     // Record link busy windows from t=0 so the wire stages can be
     // cross-checked against what the ejection link actually serialized.
     uni.cluster.fabric().record_intervals(1 << 16);
-    let collected: Arc<Mutex<Vec<Row>>> = Arc::new(Mutex::new(Vec::new()));
-    let c2 = collected.clone();
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
-        let w = mpi.world();
-        let sbuf = mpi.alloc(len.max(1));
-        let rbuf = mpi.alloc(len.max(1));
-        mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
-        for _ in 0..iters {
-            if mpi.rank() == 0 {
-                mpi.send(&w, 1, 0, &sbuf, len);
-                mpi.recv(&w, 1, 0, &rbuf, len);
-            } else {
-                mpi.recv(&w, 0, 0, &rbuf, len);
-                mpi.send(&w, 0, 0, &sbuf, len);
-            }
-        }
-        mpi.barrier(&w);
+    let (rows, _) = gather(&uni, 2, move |mpi| {
+        pingpong(mpi, len, iters, 0);
         let ep = mpi.endpoint();
         let (_inj, ej) = ep.cluster.fabric().node_busy_intervals(ep.node);
-        c2.lock()
-            .push((mpi.rank() as u32, ep.trace.lock().clone(), ej));
+        (ep.trace.lock().clone(), ej)
     });
-    let mut rows = std::mem::take(&mut *collected.lock());
-    rows.sort_by_key(|(r, ..)| *r);
-    let ej_busy: Vec<(u32, Vec<(u64, u64)>)> =
-        rows.iter().map(|(r, _, ej)| (*r, ej.clone())).collect();
-    let traces: Vec<(u32, TraceLog)> = rows.into_iter().map(|(r, l, _)| (r, l)).collect();
+    let (traces, ej_busy): (Vec<_>, Vec<_>) = rows
+        .into_iter()
+        .enumerate()
+        .map(|(rank, (log, ej))| ((rank as u32, log), (rank as u32, ej)))
+        .unzip();
     let refs: Vec<(u32, &TraceLog)> = traces.iter().map(|(r, l)| (*r, l)).collect();
     let report = openmpi_core::critpath::analyze(&refs, &ej_busy);
     CritPathCapture { report, traces }
@@ -1112,45 +985,22 @@ impl TimelineCapture {
 /// sender's traffic converges on one ejection link — the time-series view
 /// of what `incast_congestion` reports as end-of-run totals.
 pub fn timeline_incast(setup: &Setup, ranks: usize, len: usize, iters: usize) -> TimelineCapture {
-    type Row = (u32, u64, Vec<openmpi_core::introspect::TimelineSample>);
     let mut setup = setup.clone();
     setup.stack.metrics = true;
     // Sample roughly every wire-time of one message so the ramp is visible.
     let sample_ns = (len as u64).max(1_000) / 3;
     setup.stack.timeline_interval = Dur::from_ns(sample_ns);
-    let collected: Arc<Mutex<Vec<Row>>> = Arc::new(Mutex::new(Vec::new()));
-    let c2 = collected.clone();
-    setup
-        .universe()
-        .run_world(ranks, Placement::RoundRobin, move |mpi| {
-            let w = mpi.world();
-            if mpi.rank() == 0 {
-                let rbuf = mpi.alloc(len.max(1));
-                for _ in 0..iters {
-                    for _ in 1..ranks {
-                        mpi.recv(&w, openmpi_core::ANY_SOURCE, 0, &rbuf, len);
-                    }
-                }
-            } else {
-                let sbuf = mpi.alloc(len.max(1));
-                mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
-                for _ in 0..iters {
-                    mpi.send(&w, 0, 0, &sbuf, len);
-                }
-            }
-            mpi.barrier(&w);
-            let ep = mpi.endpoint();
-            let tl = ep.timeline.lock();
-            c2.lock().push((
-                mpi.rank() as u32,
-                tl.dropped(),
-                tl.samples().cloned().collect(),
-            ));
-        });
-    let mut rows = std::mem::take(&mut *collected.lock());
-    rows.sort_by_key(|(r, ..)| *r);
+    let (rows, _) = setup.gather(ranks, move |mpi| {
+        incast(mpi, len, ranks - 1, iters, Dur::ZERO, false);
+        let tl = mpi.endpoint().timeline.lock();
+        (tl.dropped(), tl.samples().cloned().collect())
+    });
     TimelineCapture {
-        ranks: rows,
+        ranks: rows
+            .into_iter()
+            .enumerate()
+            .map(|(rank, (dropped, samples))| (rank as u32, dropped, samples))
+            .collect(),
         victim: 0,
     }
 }
@@ -1159,15 +1009,10 @@ pub fn timeline_incast(setup: &Setup, ranks: usize, len: usize, iters: usize) ->
 /// registry (name, type, default, writability, live value, description)
 /// as one JSON document — the MPI_T-style discovery surface.
 pub fn introspect_registry(setup: &Setup) -> String {
-    let out: Arc<Mutex<String>> = Arc::new(Mutex::new(String::new()));
-    let o2 = out.clone();
-    setup
-        .universe()
-        .run_world(1, Placement::RoundRobin, move |mpi| {
-            *o2.lock() = openmpi_core::introspect::registry_json(mpi.endpoint());
-        });
-    let v = std::mem::take(&mut *out.lock());
-    v
+    let (mut rows, _) = setup.gather(1, |mpi| {
+        openmpi_core::introspect::registry_json(mpi.endpoint())
+    });
+    rows.remove(0)
 }
 
 /// What the forced-stall demonstration recovers after the watchdog abort:
@@ -1207,15 +1052,12 @@ pub fn stall_flight_demo() -> StallFlightDemo {
         watchdog_grace: 4,
         ..StackConfig::best()
     };
-    let uni = Universe::new(
-        NicConfig::default(),
-        FabricConfig::default(),
-        stack,
-        Transports {
-            elan_rails: 0,
-            tcp: true,
-        },
-    );
+    let mut setup = Setup::paper(stack);
+    setup.transports = Transports {
+        elan_rails: 0,
+        tcp: true,
+    };
+    let uni = setup.universe();
     uni.tcp_net
         .inject_drop(openmpi_core::hdr::HdrType::FinAck, 1);
     type Captured = Vec<(u32, Arc<openmpi_core::Endpoint>)>;
@@ -1335,26 +1177,9 @@ impl SimBenchReport {
 pub fn sim_bench(setup: &Setup, ranks: usize, len: usize, iters: usize) -> SimBenchReport {
     let run = |kind: qsim::QueueKind| -> qsim::Report {
         qsim::set_default_queue_kind(kind);
-        let report = setup
-            .universe()
-            .run_world(ranks, Placement::RoundRobin, move |mpi| {
-                let w = mpi.world();
-                let sbuf = mpi.alloc(len.max(1));
-                let rbuf = mpi.alloc(len.max(1));
-                mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
-                for _ in 0..iters {
-                    if mpi.rank() == 0 {
-                        for peer in 1..ranks {
-                            mpi.send(&w, peer, 0, &sbuf, len);
-                            mpi.recv(&w, peer as i32, 0, &rbuf, len);
-                        }
-                    } else {
-                        mpi.recv(&w, 0, 0, &rbuf, len);
-                        mpi.send(&w, 0, 0, &sbuf, len);
-                    }
-                }
-                mpi.barrier(&w);
-            });
+        let (_, report) = setup.gather(ranks, move |mpi| {
+            pingpong(mpi, len, iters, 0);
+        });
         qsim::set_default_queue_kind(qsim::QueueKind::Calendar);
         report
     };
@@ -1447,14 +1272,12 @@ pub fn rank_sweep(
     for &ranks in rank_counts {
         let mut setup = setup.clone();
         setup.fabric.nodes = ranks;
-        let report = setup
-            .universe()
-            .run_world(ranks, Placement::RoundRobin, move |mpi| {
-                let w = mpi.world();
-                for _ in 0..iters {
-                    mpi.barrier(&w);
-                }
-            });
+        let (_, report) = setup.gather(ranks, move |mpi| {
+            let w = mpi.world();
+            for _ in 0..iters {
+                mpi.barrier(&w);
+            }
+        });
         total_wall_ns += report.wall_ns;
         points.push(RankSweepPoint { ranks, report });
     }
@@ -1561,48 +1384,36 @@ fn coll_curve_cell(
         // Host baseline: binomial trees only, hardware rail off too.
         setup.stack.coll_hw_bcast = false;
     }
-    let max_ns: Arc<Vec<AtomicU64>> = Arc::new((0..3).map(|_| AtomicU64::new(0)).collect());
-    let m2 = max_ns.clone();
-    setup
-        .universe()
-        .run_world(ranks, Placement::RoundRobin, move |mpi| {
-            let w = mpi.world();
-            let buf = mpi.alloc(payload.max(1));
-            mpi.write(&buf, 0, &pattern(payload, mpi.rank() as u8));
+    let (per_rank, _) = setup.gather(ranks, move |mpi| {
+        let w = mpi.world();
+        let buf = mpi.alloc(payload.max(1));
+        mpi.write(&buf, 0, &pattern(payload, mpi.rank() as u8));
 
-            // Barrier.
-            for _ in 0..2 {
+        // Each phase warms up twice, syncs (the barrier phase's warm-up
+        // already does), then times `iters` operations.
+        let phase = |op: &dyn Fn(), sync: bool| {
+            op();
+            op();
+            if sync {
                 mpi.barrier(&w);
             }
             let t0 = mpi.now();
-            for _ in 0..iters {
-                mpi.barrier(&w);
-            }
-            m2[0].fetch_max((mpi.now() - t0).as_ns(), Ordering::SeqCst);
-
+            (0..iters).for_each(|_| op());
+            (mpi.now() - t0).as_ns()
+        };
+        let sum = openmpi_core::ReduceOp::SumU64;
+        [
+            phase(&|| mpi.barrier(&w), false),
             // Broadcast from rank 0.
-            for _ in 0..2 {
-                mpi.bcast(&w, 0, &buf, payload);
-            }
-            mpi.barrier(&w);
-            let t0 = mpi.now();
-            for _ in 0..iters {
-                mpi.bcast(&w, 0, &buf, payload);
-            }
-            m2[1].fetch_max((mpi.now() - t0).as_ns(), Ordering::SeqCst);
-
+            phase(&|| mpi.bcast(&w, 0, &buf, payload), true),
             // Allreduce (commutative sum, NIC-combinable).
-            for _ in 0..2 {
-                mpi.allreduce(&w, openmpi_core::ReduceOp::SumU64, &buf, payload);
-            }
-            mpi.barrier(&w);
-            let t0 = mpi.now();
-            for _ in 0..iters {
-                mpi.allreduce(&w, openmpi_core::ReduceOp::SumU64, &buf, payload);
-            }
-            m2[2].fetch_max((mpi.now() - t0).as_ns(), Ordering::SeqCst);
-        });
-    let cell = |i: usize| max_ns[i].load(Ordering::SeqCst) as f64 / iters as f64 / 1_000.0;
+            phase(&|| mpi.allreduce(&w, sum, &buf, payload), true),
+        ]
+    });
+    let cell = |i: usize| {
+        let max_ns = per_rank.iter().map(|ns| ns[i]).max().unwrap_or(0);
+        max_ns as f64 / iters as f64 / 1_000.0
+    };
     [cell(0), cell(1), cell(2)]
 }
 
@@ -1636,12 +1447,29 @@ pub fn coll_curve(
     }
 }
 
+/// Run `body` on both ranks of an MPICH-QsNet pair and return rank 0's
+/// result.
+fn mpich_rank0<T: Send + 'static>(
+    nic: &NicConfig,
+    fabric: &FabricConfig,
+    body: impl Fn(&MpichRank) -> T + Send + Sync + 'static,
+) -> T {
+    let cluster = Cluster::new(nic.clone(), fabric.clone());
+    let out: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
+    let o2 = out.clone();
+    run_mpich(&cluster, 2, MpichConfig::default(), move |r| {
+        let value = body(&r);
+        if r.rank() == 0 {
+            *o2.lock() = Some(value);
+        }
+    });
+    let value = out.lock().take().expect("rank 0 returned");
+    value
+}
+
 /// MPICH-QsNet ping-pong latency in µs.
 pub fn mpich_latency(nic: &NicConfig, fabric: &FabricConfig, len: usize) -> f64 {
-    let cluster = Cluster::new(nic.clone(), fabric.clone());
-    let lat = Arc::new(AtomicU64::new(0));
-    let l2 = lat.clone();
-    run_mpich(&cluster, 2, MpichConfig::default(), move |r| {
+    let ns = mpich_rank0(nic, fabric, move |r| {
         let sbuf = r.alloc(len.max(1));
         let rbuf = r.alloc(len.max(1));
         r.write(&sbuf, 0, &pattern(len, r.rank() as u8));
@@ -1654,22 +1482,13 @@ pub fn mpich_latency(nic: &NicConfig, fabric: &FabricConfig, len: usize) -> f64 
                 r.send(0, 0, &sbuf, len);
             }
         };
-        for _ in 0..WARMUP {
-            round();
-        }
+        (0..WARMUP).for_each(|_| round());
         r.barrier();
         let t0 = r.now();
-        for _ in 0..ITERS {
-            round();
-        }
-        if r.rank() == 0 {
-            l2.store(
-                (r.now() - t0).as_ns() / (2 * ITERS as u64),
-                Ordering::SeqCst,
-            );
-        }
+        (0..ITERS).for_each(|_| round());
+        (r.now() - t0).as_ns()
     });
-    lat.load(Ordering::SeqCst) as f64 / 1_000.0
+    half_rtt_us(ns, ITERS)
 }
 
 /// MPICH-QsNet streaming bandwidth in MB/s.
@@ -1680,10 +1499,7 @@ pub fn mpich_bandwidth(
     window: usize,
     reps: usize,
 ) -> f64 {
-    let cluster = Cluster::new(nic.clone(), fabric.clone());
-    let bw = Arc::new(Mutex::new(0.0f64));
-    let b2 = bw.clone();
-    run_mpich(&cluster, 2, MpichConfig::default(), move |r| {
+    let ns = mpich_rank0(nic, fabric, move |r| {
         let bufs: Vec<_> = (0..window).map(|_| r.alloc(len.max(1))).collect();
         let ack = r.alloc(1);
         r.barrier();
@@ -1703,13 +1519,9 @@ pub fn mpich_bandwidth(
                 r.send(0, 1, &ack, 0);
             }
         }
-        if r.rank() == 0 {
-            let ns = (r.now() - t0).as_ns();
-            *b2.lock() = (len * window * reps) as f64 / (ns as f64 / 1e9) / 1e6;
-        }
+        (r.now() - t0).as_ns()
     });
-    let v = *bw.lock();
-    v
+    (len * window * reps) as f64 / (ns as f64 / 1e9) / 1e6
 }
 
 /// Native Quadrics QDMA ping-pong latency (µs) for `len`-byte messages —
@@ -1723,79 +1535,44 @@ pub fn qdma_native_latency(nic: &NicConfig, fabric: &FabricConfig, len: usize) -
     let b = Arc::new(ElanCtx::attach(&cluster, 1).unwrap());
     let (va, vb) = (a.vpid(), b.vpid());
     let iters = ITERS;
-    {
-        let lat = lat.clone();
-        let a = a.clone();
-        sim.spawn("qdma0", move |p| {
-            let q = a.create_queue(64, 2048);
-            let sig = p.signal();
-            q.set_signal(sig.clone());
-            // Let the peer set its queue up.
-            p.advance(Dur::from_us(5));
-            let t0 = p.now();
-            for _ in 0..iters {
-                a.qdma(&p, 0, vb, elan4::QueueId(0), vec![1u8; len.max(1)], None);
-                let _ = q.wait_pop(&p, &sig, a.cluster().cfg().poll_check).unwrap();
-            }
-            lat.store(
-                (p.now() - t0).as_ns() / (2 * iters as u64),
-                Ordering::SeqCst,
-            );
-        });
-    }
-    {
-        sim.spawn("qdma1", move |p| {
-            let q = b.create_queue(64, 2048);
-            let sig = p.signal();
-            q.set_signal(sig.clone());
-            for _ in 0..iters {
-                let _ = q.wait_pop(&p, &sig, b.cluster().cfg().poll_check).unwrap();
-                b.qdma(&p, 0, va, elan4::QueueId(0), vec![2u8; len.max(1)], None);
-            }
-        });
-    }
-    sim.run().unwrap();
-    lat.load(Ordering::SeqCst) as f64 / 1_000.0
+    let l2 = lat.clone();
+    sim.spawn("qdma0", move |p| {
+        let q = a.create_queue(64, 2048);
+        let sig = p.signal();
+        q.set_signal(sig.clone());
+        // Let the peer set its queue up.
+        p.advance(Dur::from_us(5));
+        let t0 = p.now();
+        for _ in 0..iters {
+            a.qdma(&p, 0, vb, elan4::QueueId(0), vec![1u8; len.max(1)], None);
+            let poll = a.cluster().cfg().poll_check;
+            q.wait_pop(&p, &sig, poll).expect("the peer answers");
+        }
+        l2.store((p.now() - t0).as_ns(), Ordering::SeqCst);
+    });
+    sim.spawn("qdma1", move |p| {
+        let q = b.create_queue(64, 2048);
+        let sig = p.signal();
+        q.set_signal(sig.clone());
+        for _ in 0..iters {
+            let poll = b.cluster().cfg().poll_check;
+            q.wait_pop(&p, &sig, poll).expect("the peer sends");
+            b.qdma(&p, 0, va, elan4::QueueId(0), vec![2u8; len.max(1)], None);
+        }
+    });
+    sim.run().expect("QDMA ping-pong completes");
+    half_rtt_us(lat.load(Ordering::SeqCst), iters)
 }
 
 /// Latency decomposition for §6.3: `(total, pml_cost, ptl_latency)` in µs.
 pub fn layer_decomposition(setup: &Setup, len: usize) -> (f64, f64, f64) {
-    let out = Arc::new(Mutex::new((0.0f64, 0.0f64)));
-    let o2 = out.clone();
-    setup
-        .universe()
-        .run_world(2, Placement::RoundRobin, move |mpi| {
-            let w = mpi.world();
-            let sbuf = mpi.alloc(len.max(1));
-            let rbuf = mpi.alloc(len.max(1));
-            let round = || {
-                if mpi.rank() == 0 {
-                    mpi.send(&w, 1, 0, &sbuf, len);
-                    mpi.recv(&w, 1, 0, &rbuf, len);
-                } else {
-                    mpi.recv(&w, 0, 0, &rbuf, len);
-                    mpi.send(&w, 0, 0, &sbuf, len);
-                }
-            };
-            for _ in 0..WARMUP {
-                round();
-            }
-            mpi.barrier(&w);
-            let t0 = mpi.now();
-            let n = 50;
-            for _ in 0..n {
-                round();
-            }
-            if mpi.rank() == 0 {
-                let total = (mpi.now() - t0).as_ns() as f64 / (2 * n) as f64 / 1_000.0;
-                let pml = mpi
-                    .endpoint()
-                    .pml_layer_cost()
-                    .map(|d| d.as_us())
-                    .unwrap_or(0.0);
-                *o2.lock() = (total, pml);
-            }
-        });
-    let (total, pml) = *out.lock();
+    let n = 50;
+    let (rows, _) = setup.gather(2, move |mpi| {
+        let ns = pingpong(mpi, len, WARMUP, n);
+        let pml = mpi.endpoint().pml_layer_cost().map(|d| d.as_us());
+        (ns, pml.unwrap_or(0.0))
+    });
+    let (ns, pml) = rows[0];
+    let total = ns as f64 / (2 * n) as f64 / 1_000.0;
     (total, pml, total - pml)
 }

@@ -46,20 +46,21 @@ impl Table {
             .unwrap_or_else(|| panic!("no row {x}"))
     }
 
-    pub fn print(&self) {
-        println!("\n## {}  ({})", self.title, self.unit);
-        print!("{:>10}", "bytes");
+    /// The table as aligned text for the terminal.
+    pub fn render(&self) -> String {
+        let mut out = format!("\n## {}  ({})\n{:>10}", self.title, self.unit, "bytes");
         for s in &self.series {
-            print!("{s:>18}");
+            out.push_str(&format!("{s:>18}"));
         }
-        println!();
+        out.push('\n');
         for (x, vals) in &self.rows {
-            print!("{x:>10}");
+            out.push_str(&format!("{x:>10}"));
             for v in vals {
-                print!("{v:>18.3}");
+                out.push_str(&format!("{v:>18.3}"));
             }
-            println!();
+            out.push('\n');
         }
+        out
     }
 
     pub fn to_csv(&self) -> String {

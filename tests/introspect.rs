@@ -106,10 +106,13 @@ fn eager_limit_write_flips_protocol_at_runtime() {
 /// same run.
 #[test]
 fn clean_run_zero_stalls_and_pvar_totals_match_metrics() {
-    use ompi_bench::measure::{introspect_pingpong, Setup};
+    use ompi_bench::measure::{instrumented_pingpong, Setup};
 
     let setup = Setup::paper(StackConfig::default());
-    let (telemetry, report) = introspect_pingpong(&setup, 4, 16 << 10, 6, 32);
+    let (telemetry, Some(report)) = instrumented_pingpong(&setup, 4, 16 << 10, 6, Some(32), 0)
+    else {
+        panic!("an armed watchdog yields an introspection report");
+    };
 
     assert_eq!(report.stalls, 0, "clean run must not stall");
     assert!(report.diagnostics.is_empty());
