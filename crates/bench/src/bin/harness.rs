@@ -570,9 +570,10 @@ fn rank_sweep(o: &Opts) -> Outcome {
         .iter()
         .map(|p| {
             format!(
-                "{} ranks {:.0} events/s",
+                "{} ranks {:.0} events/s in {:.1} ms",
                 p.ranks,
-                p.report.events_per_sec()
+                p.report.events_per_sec(),
+                p.report.wall_ns as f64 / 1e6
             )
         })
         .collect();

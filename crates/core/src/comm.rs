@@ -17,8 +17,10 @@ pub struct Communicator {
     pub ctx: u32,
     /// Context id for collective traffic.
     pub coll_ctx: u32,
-    /// Member processes, in rank order.
-    pub group: Vec<ProcName>,
+    /// Member processes, in rank order. Shared, not copied: every handle
+    /// cloned from one communicator (and every rank of a launched job's
+    /// world) points at the same group.
+    pub group: Arc<[ProcName]>,
     /// This process's rank within `group`.
     pub my_rank: usize,
     /// True only for groups created synchronously at job launch: such

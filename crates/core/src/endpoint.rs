@@ -17,7 +17,7 @@ use qsim::Mutex;
 use qsim::{Dur, Proc, Signal, Time, TimedWait, Wait};
 
 use crate::config::{CompletionMode, ProgressMode, StackConfig};
-use crate::peer::{ElanPeer, PeerInfo, TcpPeer};
+use crate::peer::{ElanPeer, PeerInfo, PeerTable, TcpPeer};
 use crate::proto;
 use crate::ptl::{PtlInfo, PtlKind, PtlRegistry};
 use crate::ptl_tcp::{TcpInbox, TcpNet};
@@ -183,17 +183,12 @@ impl Endpoint {
         rte.modex_put(proc, name, "ptl", my_info.to_bytes());
         rte.barrier(proc, name.job);
 
-        let job_size = rte.job_size(name.job);
+        // One bulk fetch for the whole job; its decoded table is shared by
+        // every endpoint of the job.
         let mut state = EpState::new();
-        for r in 0..job_size {
-            let who = ProcName {
-                job: name.job,
-                rank: r,
-            };
-            let raw = rte.modex_get(proc, who, "ptl");
-            let info = PeerInfo::from_bytes(&raw);
-            state.peers.insert(who, info);
-        }
+        state.peers =
+            PeerTable::new(rte.modex_get_all(proc, name.job, "ptl", PeerInfo::from_bytes));
+        let job_size = state.peers.job_table().len();
 
         // Drive each component through the open -> init -> activate stages
         // of §2.2. Opening/initializing happened physically above (queues,

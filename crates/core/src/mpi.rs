@@ -534,7 +534,7 @@ impl Mpi {
             .map(|(r, p)| (p.1, r))
             .collect();
         members.sort_unstable();
-        let group: Vec<ProcName> = members.iter().map(|(_, r)| comm.group[*r]).collect();
+        let group: Arc<[ProcName]> = members.iter().map(|(_, r)| comm.group[*r]).collect();
         let my_rank = members
             .iter()
             .position(|(_, r)| *r == comm.my_rank)
@@ -598,15 +598,21 @@ impl Mpi {
             blob,
         );
 
-        let mut group = vec![self.ep.name];
-        group.extend((0..count).map(|r| ProcName {
-            job: child_job,
-            rank: r,
-        }));
+        // The children's world group and the merged parent+children group
+        // are built once and shared by the parent and every child.
+        let world_group: Arc<[ProcName]> = (0..count)
+            .map(|rank| ProcName {
+                job: child_job,
+                rank,
+            })
+            .collect();
+        let inter_group: Arc<[ProcName]> = std::iter::once(self.ep.name)
+            .chain(world_group.iter().copied())
+            .collect();
         let inter = Communicator {
             ctx: ictx,
             coll_ctx: icoll,
-            group,
+            group: inter_group.clone(),
             my_rank: 0,
             hw_coll: false,
         };
@@ -617,6 +623,7 @@ impl Mpi {
         for (rank, &node) in nodes.iter().enumerate() {
             let uni = uni.clone();
             let entry = entry.clone();
+            let (world_group, inter_group) = (world_group.clone(), inter_group.clone());
             self.proc
                 .spawn(&format!("spawned-{}-{rank}", child_job.0), move |p| {
                     let name = ProcName {
@@ -642,12 +649,6 @@ impl Mpi {
                         .chunks_exact(4)
                         .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
                         .collect();
-                    let world_group = (0..count)
-                        .map(|r| ProcName {
-                            job: child_job,
-                            rank: r,
-                        })
-                        .collect();
                     let world = Communicator {
                         ctx: v[2],
                         coll_ctx: v[3],
@@ -658,8 +659,6 @@ impl Mpi {
                         hw_coll: false,
                     };
                     register_comm(&p, &ep, &world);
-                    let mut inter_group = vec![parent_name];
-                    inter_group.extend(world.group.iter().copied());
                     let inter = Communicator {
                         ctx: v[0],
                         coll_ctx: v[1],

@@ -4,8 +4,12 @@
 //! reach it; serialization is a small hand-rolled byte format (the real
 //! modex likewise ships opaque per-component blobs).
 
+use std::ops::Index;
+use std::sync::Arc;
+
 use elan4::{QueueId, Vpid};
 use ompi_rte::ProcName;
+use qsim::fxhash::FxHashMap;
 
 /// Elan4 PTL addressing for one peer.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -115,6 +119,61 @@ impl PeerInfo {
             elan,
             tcp,
         }
+    }
+}
+
+/// Resolved addressing for every peer one endpoint knows.
+///
+/// Peers in the endpoint's own job live in one rank-indexed table, decoded
+/// once per job from the bulk modex fetch and shared by all of the job's
+/// endpoints, so same-job addressing costs O(1) memory per rank. Peers in
+/// other jobs (a spawning parent, spawned children) are resolved one at a
+/// time and kept per endpoint.
+#[derive(Default)]
+pub struct PeerTable {
+    job: Arc<[PeerInfo]>,
+    others: FxHashMap<ProcName, PeerInfo>,
+}
+
+impl PeerTable {
+    /// A table over one job's shared addressing, indexed by rank.
+    pub fn new(job: Arc<[PeerInfo]>) -> Self {
+        PeerTable {
+            job,
+            others: FxHashMap::default(),
+        }
+    }
+
+    /// The job-wide table this endpoint shares with its job.
+    pub fn job_table(&self) -> &Arc<[PeerInfo]> {
+        &self.job
+    }
+
+    /// Addressing for `who`, if known.
+    pub fn get(&self, who: &ProcName) -> Option<&PeerInfo> {
+        match self.job.get(who.rank) {
+            Some(info) if info.name == *who => Some(info),
+            _ => self.others.get(who),
+        }
+    }
+
+    /// Whether `who` is known.
+    pub fn contains_key(&self, who: &ProcName) -> bool {
+        self.get(who).is_some()
+    }
+
+    /// Record addressing for a peer outside this endpoint's job.
+    pub fn insert(&mut self, who: ProcName, info: PeerInfo) {
+        self.others.insert(who, info);
+    }
+}
+
+impl Index<&ProcName> for PeerTable {
+    type Output = PeerInfo;
+
+    fn index(&self, who: &ProcName) -> &PeerInfo {
+        self.get(who)
+            .unwrap_or_else(|| panic!("no addressing for peer {who:?}"))
     }
 }
 

@@ -6,6 +6,7 @@
 
 use qsim::fxhash::{FxHashMap, FxHashSet};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use elan4::E4Addr;
 use ompi_datatype::Convertor;
@@ -13,7 +14,7 @@ use ompi_rte::ProcName;
 use qsim::{Dur, Signal, Time};
 
 use crate::hdr::{Hdr, HdrType};
-use crate::peer::PeerInfo;
+use crate::peer::PeerTable;
 
 /// MPI_ANY_SOURCE.
 pub const ANY_SOURCE: i32 = -1;
@@ -332,7 +333,7 @@ pub struct CommState {
     /// Context id.
     pub ctx: u32,
     /// Members in rank order.
-    pub group: Vec<ProcName>,
+    pub group: Arc<[ProcName]>,
     /// This process's rank.
     pub my_rank: usize,
     /// Recv request ids in post order (MPI matching is FIFO over these).
@@ -351,7 +352,7 @@ pub struct CommState {
 
 impl CommState {
     /// Fresh matching state for one communicator.
-    pub fn new(ctx: u32, group: Vec<ProcName>, my_rank: usize) -> Self {
+    pub fn new(ctx: u32, group: Arc<[ProcName]>, my_rank: usize) -> Self {
         CommState {
             ctx,
             group,
@@ -576,7 +577,7 @@ pub struct EpState {
     /// DMA descriptors whose completion the host has not yet observed.
     pub pending_dmas: Vec<PendingDma>,
     /// Resolved addressing for every known peer.
-    pub peers: FxHashMap<ProcName, PeerInfo>,
+    pub peers: PeerTable,
     /// Next request id.
     pub next_req: u64,
     /// Next shared-completion-queue token.
@@ -622,7 +623,7 @@ impl EpState {
             send_reqs: FxHashMap::default(),
             recv_reqs: FxHashMap::default(),
             pending_dmas: Vec::new(),
-            peers: FxHashMap::default(),
+            peers: PeerTable::default(),
             next_req: 1,
             next_dma_token: 1,
             finalizing: false,
@@ -757,7 +758,7 @@ mod tests {
     fn mk_state_with_comm() -> EpState {
         let mut st = EpState::new();
         st.comms
-            .insert(0, CommState::new(0, vec![name(0), name(1)], 0));
+            .insert(0, CommState::new(0, [name(0), name(1)].into(), 0));
         st
     }
 

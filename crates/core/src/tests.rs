@@ -2010,3 +2010,65 @@ fn long_tail_collectives_match_scalar_reference_and_attribute_spans() {
         }
     }
 }
+
+/// `MPI_Init` on a 64-rank job: one bulk modex fetch per rank, one decoded
+/// peer table and one world group for the whole job, and init still costs
+/// exactly the virtual time of the per-peer lookups the bulk fetch replaced.
+#[test]
+fn init_shares_one_peer_table_and_world_group_per_job() {
+    use crate::peer::PeerInfo;
+    use ompi_rte::ProcName;
+    const N: usize = 64;
+    /// Recorded with one `modex_get` per peer: 67 OOB operations of 30 µs
+    /// (publish, barrier, 64 lookups, the post-registration barrier).
+    const INIT_EXIT_NS: u64 = 2_010_000;
+    type Seen = (u64, Arc<[PeerInfo]>, Arc<[ProcName]>, Arc<[ProcName]>);
+    let fabric = qsnet::FabricConfig {
+        nodes: N,
+        ..Default::default()
+    };
+    let uni = Universe::new(
+        elan4::NicConfig::default(),
+        fabric,
+        StackConfig::best(),
+        Transports::default(),
+    );
+    let seen: Arc<Mutex<Vec<Option<Seen>>>> = Arc::new(Mutex::new(vec![None; N]));
+    let seen2 = seen.clone();
+    uni.run_world(N, Placement::RoundRobin, move |mpi| {
+        let t = mpi.now().as_ns();
+        let ep = mpi.endpoint();
+        let world = mpi.world();
+        assert!(Arc::ptr_eq(&world.coll_plane().group, &world.group));
+        let (table, comm_group) = {
+            let st = ep.state.lock();
+            (
+                st.peers.job_table().clone(),
+                st.comms[&world.ctx].group.clone(),
+            )
+        };
+        if mpi.rank() == 0 {
+            for (rank, info) in table.iter().enumerate() {
+                let who = ProcName {
+                    job: mpi.job(),
+                    rank,
+                };
+                let raw = ep.rte.modex_get(mpi.proc(), who, "ptl");
+                assert_eq!(*info, PeerInfo::from_bytes(&raw), "entry {rank}");
+            }
+        }
+        seen2.lock()[mpi.rank()] = Some((t, table, world.group, comm_group));
+    });
+    let seen = seen.lock();
+    let (_, table0, group0, _) = seen[0].as_ref().unwrap();
+    assert_eq!(table0.len(), N);
+    assert_eq!(group0.len(), N);
+    for (rank, s) in seen.iter().enumerate() {
+        let (t, table, group, comm_group) = s.as_ref().unwrap();
+        assert_eq!(*t, INIT_EXIT_NS, "rank {rank} left MPI_Init at {t} ns");
+        assert!(Arc::ptr_eq(table, table0), "rank {rank}: own peer table");
+        assert!(Arc::ptr_eq(group, group0), "rank {rank}: own world group");
+        assert!(Arc::ptr_eq(comm_group, group0), "rank {rank}: comm copy");
+        assert_eq!(table0[rank].name, group0[rank]);
+    }
+}

@@ -98,11 +98,14 @@ impl Universe {
         let job = self.rte.create_job(n, None);
         let (ctx, coll_ctx) = self.alloc_ctx_pair();
         let entry = Arc::new(entry);
+        // One world group per job, shared by every rank's communicator.
+        let group: Arc<[ProcName]> = (0..n).map(|rank| ProcName { job, rank }).collect();
         let nodes = self.cluster.nodes();
         for rank in 0..n {
             let node = placement.node_of(rank, nodes);
             let uni = self.clone();
             let entry = entry.clone();
+            let group = group.clone();
             sim.spawn(&format!("rank{rank}"), move |p| {
                 let name = ProcName { job, rank };
                 let ep = Endpoint::init(
@@ -116,7 +119,6 @@ impl Universe {
                     Some(uni.tcp_net.clone()),
                 );
                 ep.start_progress(&p);
-                let group = (0..n).map(|r| ProcName { job, rank: r }).collect();
                 let world = Communicator {
                     ctx,
                     coll_ctx,

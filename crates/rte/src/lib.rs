@@ -11,7 +11,8 @@
 //! The out-of-band channel is modelled as a management network separate
 //! from the Quadrics fabric: each operation costs [`RteConfig::oob_latency`]
 //! of virtual time, which only affects startup/spawn paths, never the
-//! data-path benchmarks.
+//! data-path benchmarks. [`Rte::modex_get_all`] fetches a whole job's
+//! entries at one operation's cost per entry, charged in a single step.
 
 #![warn(missing_docs)]
 
@@ -20,6 +21,7 @@ pub mod pvar;
 pub use pvar::{ClusterReport, PvarAgg};
 
 use qsim::fxhash::FxHashMap;
+use std::any::Any;
 use std::sync::Arc;
 
 use qsim::Mutex;
@@ -60,10 +62,22 @@ struct BarrierState {
     waiters: Vec<Signal>,
 }
 
+/// Every rank's entry under one modex key of one job.
+struct ModexKey {
+    /// Published values, indexed by rank.
+    values: Vec<Option<Vec<u8>>>,
+    /// How many of `values` are `Some`.
+    published: usize,
+    /// The job-wide decode made by the first [`Rte::modex_get_all`] after
+    /// every rank published (an `Arc<[E]>`); dropped on any republish.
+    decoded: Option<Box<dyn Any + Send + Sync>>,
+}
+
 struct JobState {
     size: usize,
     parent: Option<ProcName>,
-    modex: FxHashMap<(usize, String), Vec<u8>>,
+    /// Keyed by modex key, so a lookup borrows the caller's `&str`.
+    modex: FxHashMap<String, ModexKey>,
     modex_waiters: Vec<Signal>,
     barrier: BarrierState,
     finalized: usize,
@@ -136,7 +150,20 @@ impl Rte {
         proc.advance(self.cfg.oob_latency);
         let mut inner = self.inner.lock();
         let job = inner.jobs.get_mut(&who.job).expect("unknown job");
-        job.modex.insert((who.rank, key.to_string()), value);
+        assert!(who.rank < job.size, "modex_put for a rank outside its job");
+        if !job.modex.contains_key(key) {
+            let entry = ModexKey {
+                values: vec![None; job.size],
+                published: 0,
+                decoded: None,
+            };
+            job.modex.insert(key.to_string(), entry);
+        }
+        let entry = job.modex.get_mut(key).expect("inserted above");
+        if entry.values[who.rank].replace(value).is_none() {
+            entry.published += 1;
+        }
+        entry.decoded = None;
         let waiters = std::mem::take(&mut job.modex_waiters);
         drop(inner);
         let sim = proc.sim();
@@ -152,8 +179,10 @@ impl Rte {
             .jobs
             .get(&who.job)?
             .modex
-            .get(&(who.rank, key.to_string()))
-            .cloned()
+            .get(key)?
+            .values
+            .get(who.rank)?
+            .clone()
     }
 
     /// Blocking lookup: waits (in virtual time) until the peer publishes.
@@ -163,7 +192,11 @@ impl Rte {
             {
                 let mut inner = self.inner.lock();
                 let job = inner.jobs.get_mut(&who.job).expect("unknown job");
-                if let Some(v) = job.modex.get(&(who.rank, key.to_string())) {
+                let found = job
+                    .modex
+                    .get(key)
+                    .and_then(|k| k.values.get(who.rank)?.as_ref());
+                if let Some(v) = found {
                     return v.clone();
                 }
                 let sig = proc.signal();
@@ -171,6 +204,45 @@ impl Rte {
                 drop(inner);
                 proc.wait(&sig).expect_signaled();
             }
+        }
+    }
+
+    /// Bulk lookup: every rank's `key` entry of `job`, in rank order, each
+    /// decoded by `decode`. Charges `job_size × oob_latency` in one advance —
+    /// the virtual time of `job_size` sequential [`Rte::modex_get`]s when
+    /// every entry is already published, as after the init barrier — then
+    /// waits until the last rank has published. The first caller decodes;
+    /// every later caller shares that one table (one copy per job, like a
+    /// node-shared modex datastore) until some rank republishes `key`.
+    pub fn modex_get_all<E: Send + Sync + 'static>(
+        &self,
+        proc: &Proc,
+        job: JobId,
+        key: &str,
+        decode: impl Fn(&[u8]) -> E,
+    ) -> Arc<[E]> {
+        proc.advance(self.cfg.oob_latency * self.job_size(job) as u64);
+        loop {
+            let mut inner = self.inner.lock();
+            let st = inner.jobs.get_mut(&job).expect("unknown job");
+            if let Some(entry) = st.modex.get_mut(key).filter(|e| e.published == st.size) {
+                let shared = entry.decoded.get_or_insert_with(|| {
+                    let table: Arc<[E]> = entry
+                        .values
+                        .iter()
+                        .map(|v| decode(v.as_deref().expect("every rank published")))
+                        .collect();
+                    Box::new(table)
+                });
+                return shared
+                    .downcast_ref::<Arc<[E]>>()
+                    .expect("modex key decoded as another type")
+                    .clone();
+            }
+            let sig = proc.signal();
+            st.modex_waiters.push(sig.clone());
+            drop(inner);
+            proc.wait(&sig).expect_signaled();
         }
     }
 
@@ -387,6 +459,69 @@ mod more_tests {
             rte.modex_try_get(ProcName { job: b, rank: 0 }, "x"),
             Some(vec![2])
         );
+    }
+
+    #[test]
+    fn modex_get_all_charges_job_size_hops_and_shares_one_decode() {
+        use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+        let sim = Simulation::new();
+        let rte = Rte::new(RteConfig::default());
+        let job = rte.create_job(3, None);
+        let decodes = Arc::new(AtomicUsize::new(0));
+        type Fetched = (u64, Arc<[u8]>);
+        let got: Arc<Mutex<Vec<Fetched>>> = Arc::new(Mutex::new(Vec::new()));
+        for rank in 0..3usize {
+            let (rte, decodes, got) = (rte.clone(), decodes.clone(), got.clone());
+            sim.spawn(&format!("r{rank}"), move |p| {
+                rte.modex_put(&p, ProcName { job, rank }, "k", vec![10 + rank as u8]);
+                rte.barrier(&p, job);
+                let t0 = p.now().as_ns();
+                let all = rte.modex_get_all(&p, job, "k", |b| {
+                    decodes.fetch_add(1, Ordering::SeqCst);
+                    b[0]
+                });
+                got.lock().push((p.now().as_ns() - t0, all));
+            });
+        }
+        sim.run().unwrap();
+        let got = got.lock();
+        assert_eq!(
+            decodes.load(Ordering::SeqCst),
+            3,
+            "one decode per entry, once"
+        );
+        for (dt, all) in got.iter() {
+            assert_eq!(*dt, 3 * 30_000, "job_size OOB hops");
+            assert_eq!(&all[..], &[10, 11, 12]);
+            assert!(Arc::ptr_eq(all, &got[0].1));
+        }
+        // A late publisher is awaited; republishing drops the shared decode.
+        let first = got[0].1.clone();
+        let sim2 = Simulation::new();
+        let t = Arc::new(AtomicU64::new(0));
+        {
+            let (rte, t) = (rte.clone(), t.clone());
+            sim2.spawn("reader", move |p| {
+                rte.modex_put(&p, ProcName { job, rank: 0 }, "j", vec![0]);
+                rte.modex_put(&p, ProcName { job, rank: 1 }, "j", vec![1]);
+                let all = rte.modex_get_all(&p, job, "j", |b| b[0]);
+                assert_eq!(&all[..], &[0, 1, 2]);
+                t.store(p.now().as_ns(), Ordering::SeqCst);
+                rte.modex_put(&p, ProcName { job, rank: 2 }, "k", vec![99]);
+                let again = rte.modex_get_all(&p, job, "k", |b| b[0]);
+                assert_eq!(&again[..], &[10, 11, 99]);
+                assert!(!Arc::ptr_eq(&again, &first));
+            });
+        }
+        {
+            let rte = rte.clone();
+            sim2.spawn("late", move |p| {
+                p.advance(Dur::from_us(500));
+                rte.modex_put(&p, ProcName { job, rank: 2 }, "j", vec![2]);
+            });
+        }
+        sim2.run().unwrap();
+        assert_eq!(t.load(Ordering::SeqCst), 530_000);
     }
 
     #[test]

@@ -48,8 +48,12 @@ cargo run --release -q -p ompi-bench --bin harness -- \
 echo "== bench smoke: wall-clock-budgeted 1024-rank collective sweep"
 # Barrier rounds at 64/256/1024 ranks; exits nonzero if any point comes up
 # empty, the whole sweep blows its wall-clock budget, or any point falls
-# below the per-point events/s floor (the 1024-rank point is the binding
-# one: 150,000 against a 216,983 baseline).
+# below the per-point events/s floor. The 1024-rank point is the binding
+# one. With one bulk modex fetch per rank at init, the points process
+# 19,005 / 100,605 / 500,733 events; on a 2-core VM the 1024-rank point
+# takes 0.7-1.4 s wall at 350k-740k events/s. With one fetch per peer it
+# took 1.9-3.3 s at 480k-820k events/s over 1,548,285 events: events/s
+# fell because the removed lookup events were the cheapest ones.
 cargo run --release -q -p ompi-bench --bin harness -- \
     --rank-sweep --sweep-budget-ms 60000 --sweep-floor 150000 \
     --bench-out BENCH_sweep.json

@@ -37,6 +37,14 @@ fn nested_dynamic_spawn() {
             child.recv(&gc, 1, 1, &buf, 8);
             child.send(&pc, 0, 1, &buf, 8);
             child.free(buf);
+            // Peers in other jobs (the parent, the grandchild) resolve
+            // through this endpoint's own map, not the job-wide table.
+            let st = child.endpoint().state.lock();
+            assert_eq!(st.peers.job_table().len(), 1);
+            for who in [pc.group[0], gc.group[1]] {
+                assert_ne!(who.job, child.job());
+                assert_eq!(st.peers.get(&who).map(|p| p.name), Some(who));
+            }
         });
         let buf = mpi.alloc(8);
         mpi.write(&buf, 0, &41u64.to_le_bytes());
