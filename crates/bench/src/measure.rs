@@ -993,7 +993,7 @@ pub fn timeline_incast(setup: &Setup, ranks: usize, len: usize, iters: usize) ->
     let (rows, _) = setup.gather(ranks, move |mpi| {
         incast(mpi, len, ranks - 1, iters, Dur::ZERO, false);
         let tl = mpi.endpoint().timeline.lock();
-        (tl.dropped(), tl.samples().cloned().collect())
+        (tl.dropped(), tl.iter().cloned().collect())
     });
     TimelineCapture {
         ranks: rows

@@ -10,6 +10,7 @@ use std::sync::Arc;
 use elan4::{EventId, NicReduce, QdmaSpec, Vpid};
 
 use crate::comm::Communicator;
+use crate::introspect::Knob;
 use crate::metrics::CollOp;
 use crate::mpi::Mpi;
 
@@ -115,7 +116,7 @@ impl Mpi {
             if n <= 1 {
                 return;
             }
-            if self.endpoint().tunables.coll_nic_offload() {
+            if self.endpoint().tunables.on(Knob::CollNicOffload) {
                 if self.nic_eligible(&c) {
                     if let Some(prog) = self.nic_program(&c, NicCollKind::Barrier, None, 0) {
                         return self.run_nic_barrier(&prog);
@@ -160,7 +161,7 @@ impl Mpi {
         if n <= 1 {
             return;
         }
-        if self.endpoint().tunables.coll_nic_offload() {
+        if self.endpoint().tunables.on(Knob::CollNicOffload) {
             if self.nic_eligible(&c) && len <= NIC_COLL_MAX {
                 if let Some(prog) = self.nic_program(&c, NicCollKind::Bcast, None, root) {
                     return self.with_coll(CollOp::Bcast, || {
@@ -172,7 +173,7 @@ impl Mpi {
         }
         if c.hw_coll
             && self.endpoint().transports.elan_rails > 0
-            && self.endpoint().tunables.coll_hw_bcast()
+            && self.endpoint().tunables.on(Knob::CollHwBcast)
         {
             return self.bcast_hw(&c, root, buf, len);
         }
@@ -330,7 +331,7 @@ impl Mpi {
     /// otherwise reduce to rank 0 then broadcast.
     pub fn allreduce(&self, comm: &Communicator, op: ReduceOp, buf: &elan4::HostBuf, len: usize) {
         self.with_coll(CollOp::Allreduce, || {
-            if self.endpoint().tunables.coll_nic_offload() {
+            if self.endpoint().tunables.on(Knob::CollNicOffload) {
                 let c = comm.coll_plane();
                 if self.nic_eligible(&c) && len <= NIC_COLL_MAX && len.is_multiple_of(8) {
                     if let Some(nic_op) = op.nic_reduce() {
@@ -752,7 +753,7 @@ impl Mpi {
         root: usize,
     ) -> Option<Arc<NicProgram>> {
         let ep = self.endpoint();
-        let radix = ep.tunables.coll_tree_radix();
+        let radix = ep.tunables.get_usize(Knob::CollTreeRadix);
         let key = ProgKey {
             coll_ctx: c.ctx,
             kind,

@@ -83,8 +83,9 @@ pub struct StackConfig {
     /// counters and latency histograms. Off by default so the fast path
     /// does no extra locking.
     pub metrics: bool,
-    /// Post-mortem flight recorder ([`crate::flight::FlightRecorder`]): a
-    /// small always-on ring of recent protocol events, dumped as JSON when
+    /// Post-mortem flight recorder: a second, small always-on
+    /// [`crate::trace::TraceLog`] of recent protocol events (the subset
+    /// [`crate::trace::TraceEvent::in_flight_recorder`] keeps), dumped as JSON when
     /// the watchdog declares a stall or a request fails with an MPI error
     /// class. On by default — it is far cheaper than full tracing.
     pub flight_recorder: bool,
@@ -258,7 +259,7 @@ impl Default for StackConfig {
             trace_capacity: crate::trace::DEFAULT_TRACE_CAPACITY,
             metrics: false,
             flight_recorder: true,
-            flight_capacity: crate::flight::DEFAULT_FLIGHT_CAPACITY,
+            flight_capacity: crate::trace::DEFAULT_FLIGHT_CAPACITY,
             watchdog_interval: 0,
             watchdog_grace: 4,
             watchdog_tick: Dur::from_us(200),

@@ -352,22 +352,9 @@ pub fn analyze(logs: &[(u32, &TraceLog)], ej_busy: &[(u32, Vec<(u64, u64)>)]) ->
     let mut by_gid: FxHashMap<u64, MsgEvents> = FxHashMap::default();
     for (rank, log) in logs {
         for (t, ev) in log.events() {
-            let gid = match ev {
-                TraceEvent::SendPosted { gid, .. }
-                | TraceEvent::Matched { gid, .. }
-                | TraceEvent::Registered { gid, .. }
-                | TraceEvent::RdmaIssued { gid, .. }
-                | TraceEvent::PipeChunk { gid, .. }
-                | TraceEvent::DmaDone { gid, .. }
-                | TraceEvent::ControlSent { gid, .. }
-                | TraceEvent::FlowQueued { gid, .. }
-                | TraceEvent::FlowSent { gid, .. }
-                | TraceEvent::Completed { gid, .. } => *gid,
-                _ => 0,
-            };
-            if gid == 0 {
+            let Some(gid) = ev.gid() else {
                 continue;
-            }
+            };
             by_gid
                 .entry(gid)
                 .or_insert_with(|| MsgEvents { evs: Vec::new() })

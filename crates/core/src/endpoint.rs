@@ -17,11 +17,13 @@ use qsim::Mutex;
 use qsim::{Dur, Proc, Signal, Time, TimedWait, Wait};
 
 use crate::config::{CompletionMode, ProgressMode, StackConfig};
+use crate::introspect::Knob;
 use crate::peer::{ElanPeer, PeerInfo, PeerTable, TcpPeer};
 use crate::proto;
 use crate::ptl::{PtlInfo, PtlKind, PtlRegistry};
 use crate::ptl_tcp::{TcpInbox, TcpNet};
-use crate::state::EpState;
+use crate::state::{EpState, MpiErrClass};
+use crate::trace::{TraceEvent, TraceLog};
 
 /// Which transports an endpoint activates.
 #[derive(Clone, Debug)]
@@ -85,11 +87,12 @@ pub struct Endpoint {
     /// §6.3 layer-cost instrumentation.
     pub instr: Mutex<Instr>,
     /// Protocol event trace (populated when `cfg.trace` is set).
-    pub trace: Mutex<crate::trace::TraceLog>,
-    /// Always-on post-mortem flight recorder (gated on the runtime-writable
-    /// `flight.enable` cvar, on by default). Leaf lock: may be taken while
-    /// holding any other endpoint lock.
-    pub flight: Mutex<crate::flight::FlightRecorder>,
+    pub trace: Mutex<TraceLog>,
+    /// Always-on post-mortem flight recorder: a second, small trace ring
+    /// holding the events [`TraceEvent::in_flight_recorder`] keeps (gated on
+    /// the runtime-writable `flight.enable` cvar, on by default). Leaf lock:
+    /// may be taken while holding any other endpoint lock.
+    pub flight: Mutex<TraceLog>,
     /// Telemetry counters + histograms (populated when `cfg.metrics` is set).
     pub metrics: Mutex<crate::metrics::Metrics>,
     /// Registration (pin-down) cache for rendezvous/RMA MMU mappings. Its
@@ -222,9 +225,6 @@ impl Endpoint {
             state.bounce_pool.seed(slots, slot_len);
         }
 
-        let trace_capacity = cfg.trace_capacity;
-        let flight_capacity = cfg.flight_capacity;
-        let timeline_capacity = cfg.timeline_capacity;
         let tunables = crate::introspect::Tunables::from_config(&cfg);
         // A configured credit window of 0 means auto-scale: split the bounce
         // pool across the peers that can send to us, so even an all-to-all
@@ -234,17 +234,11 @@ impl Endpoint {
             let auto = (cfg.flow_bounce_pool / peers)
                 .clamp(2, 16)
                 .min(cfg.flow_bounce_pool.max(1));
-            tunables.set_flow_credits(auto);
+            tunables.set(Knob::FlowCredits, auto as u64);
         }
-        let reg = crate::regcache::RegCache::new(
-            cfg.reg_cache,
-            cfg.reg_cache_bytes,
-            cfg.reg_cache_entries,
-        );
         Arc::new(Endpoint {
             name,
             node,
-            cfg,
             transports,
             cluster,
             rte,
@@ -257,22 +251,26 @@ impl Endpoint {
             ptls: Mutex::new(ptls),
             doorbell: Mutex::new(None),
             instr: Mutex::new(Instr::default()),
-            trace: Mutex::new(crate::trace::TraceLog::with_capacity(trace_capacity)),
-            flight: Mutex::new(crate::flight::FlightRecorder::with_capacity(
-                flight_capacity,
-            )),
+            trace: Mutex::new(TraceLog::with_capacity(cfg.trace_capacity)),
+            flight: Mutex::new(TraceLog::with_capacity(cfg.flight_capacity)),
             metrics: Mutex::new(crate::metrics::Metrics::default()),
-            reg: Mutex::new(reg),
+            reg: Mutex::new(crate::regcache::RegCache::new(
+                cfg.reg_cache,
+                cfg.reg_cache_bytes,
+                cfg.reg_cache_entries,
+            )),
             tunables,
             introspect: Mutex::new(crate::introspect::IntrospectState::default()),
             timeline: Mutex::new(crate::introspect::Timeline::with_capacity(
-                timeline_capacity,
+                cfg.timeline_capacity,
             )),
             coll_seq: AtomicU64::new(0),
             coll_depth: AtomicU64::new(0),
             cur_coll_id: AtomicU64::new(0),
             nic_progs: Mutex::new(qsim::fxhash::FxHashMap::default()),
             my_info,
+            // Last: the initializers above read the config it moves.
+            cfg,
         })
     }
 
@@ -364,7 +362,7 @@ impl Endpoint {
     /// sooner). `None` means an unbounded wait is safe — no watchdog armed
     /// and no sequence-stamped control frame awaiting its receipt.
     fn wait_bound(&self, now: Time) -> Option<Dur> {
-        let mut bound = if self.tunables.watchdog_interval() > 0 {
+        let mut bound = if self.tunables.get(Knob::WatchdogInterval) > 0 {
             Some(self.cfg.watchdog_tick)
         } else {
             None
@@ -479,22 +477,25 @@ impl Endpoint {
 
     /// Record a trace event. The full ring is gated on the runtime-writable
     /// `telemetry.trace` cvar; the same funnel also feeds the always-on
-    /// flight recorder (`flight.enable`) with the compact event subset, so
+    /// flight recorder (`flight.enable`) with the events it keeps, so
     /// protocol code has a single instrumentation call site.
-    pub fn trace(&self, now: Time, ev: crate::trace::TraceEvent) {
-        if self.tunables.flight_enable() {
-            if let Some(fe) = crate::flight::FlightEvent::from_trace(&ev) {
-                self.flight.lock().record(now, fe);
-            }
+    pub fn trace(&self, now: Time, ev: TraceEvent) {
+        if self.tunables.on(Knob::FlightEnable) && ev.in_flight_recorder() {
+            self.flight.lock().record(now, ev.clone());
         }
-        if self.tunables.trace() {
+        if self.tunables.on(Knob::Trace) {
             self.trace.lock().record(now, ev);
         }
     }
 
-    /// Dump the flight recorder's retained tail as a JSON document.
-    pub fn flight_dump(&self, reason: &str, now: Time) -> String {
-        self.flight.lock().dump_json(self.name.rank, reason, now)
+    /// Freeze the flight recorder at a request failure: record its dump,
+    /// named after the MPI error class, in the introspection state.
+    pub fn dump_flight_on_failure(&self, err: MpiErrClass, now: Time) {
+        if self.tunables.on(Knob::FlightEnable) {
+            let reason = format!("request failed: {}", err.mpi_name());
+            let dump = self.flight.lock().dump_json(self.name.rank, &reason, now);
+            self.introspect.lock().flight_dumps.push(dump);
+        }
     }
 
     /// This rank's timeline samples as a JSON document.
@@ -532,7 +533,7 @@ impl Endpoint {
     /// `telemetry.metrics` cvar is on). The metrics lock may be taken while
     /// holding the state lock, never the reverse.
     pub fn metric(&self, f: impl FnOnce(&mut crate::metrics::Metrics)) {
-        if self.tunables.metrics() {
+        if self.tunables.on(Knob::Metrics) {
             f(&mut self.metrics.lock());
         }
     }
@@ -721,11 +722,7 @@ fn progress_thread(proc: &Proc, ep: &Arc<Endpoint>, sel: QueueSel) {
         match ep.wait_bound(proc.now()) {
             Some(bound) => match proc.wait_timeout(&sig, bound) {
                 TimedWait::Signaled => proc.advance(ep.cluster.cfg().poll_check),
-                TimedWait::TimedOut => {
-                    crate::introspect::watchdog_tick(proc, ep);
-                    crate::introspect::timeline_tick(proc, ep);
-                    proto::reliability_tick(proc, ep);
-                }
+                TimedWait::TimedOut => ep.timers_tick(proc),
                 TimedWait::Shutdown => break,
             },
             None => match proc.wait(&sig) {

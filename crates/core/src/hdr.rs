@@ -303,8 +303,7 @@ pub fn fletcher16(data: &[u8]) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use qsim::Pcg32;
 
     #[test]
     fn header_is_exactly_64_bytes() {
@@ -429,45 +428,57 @@ mod tests {
         assert_eq!(ack_credits(pack_ack_seq(0, u16::MAX)), u16::MAX);
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn roundtrip_random(
-            kind in 1u8..=10,
-            ctx in any::<u32>(),
-            src in any::<u32>(),
-            tag in any::<i32>(),
-            seq in any::<u32>(),
-            msg_len in any::<u64>(),
-            sreq in any::<u64>(),
-            rreq in any::<u64>(),
-            va in any::<u64>(),
-            vpid in any::<u32>(),
-            offset in 0u64..(1 << 48),
-            plen in 0u32..=1984,
-            csum in any::<u16>(),
-        ) {
+    #[test]
+    fn roundtrip_random() {
+        for seed in 0..2_000 {
+            let mut r = Pcg32::new(seed);
             let h = Hdr {
-                kind: HdrType::from_u8(kind).unwrap(),
-                ctx, src_rank: src, tag, seq, msg_len,
-                send_req: sreq, recv_req: rreq,
-                e4_va: va, e4_vpid: vpid, offset, payload_len: plen,
-                checksum: csum,
+                kind: HdrType::from_u8(1 + r.below(10) as u8).unwrap(),
+                ctx: r.next_u32(),
+                src_rank: r.next_u32(),
+                tag: r.next_u32() as i32,
+                seq: r.next_u32(),
+                msg_len: r.next_u64(),
+                send_req: r.next_u64(),
+                recv_req: r.next_u64(),
+                e4_va: r.next_u64(),
+                e4_vpid: r.next_u32(),
+                offset: r.below(1 << 48),
+                payload_len: r.below(MAX_INLINE as u64 + 1) as u32,
+                checksum: r.next_u32() as u16,
             };
-            prop_assert_eq!(Hdr::from_bytes(&h.to_bytes()), h);
+            assert_eq!(Hdr::from_bytes(&h.to_bytes()), h, "seed {seed}");
         }
+    }
 
-        #[test]
-        fn fletcher_detects_single_byte_flips(
-            data in proptest::collection::vec(any::<u8>(), 1..256),
-            idx in any::<usize>(),
-            flip in 1u8..=255,
-        ) {
-            let base = fletcher16(&data);
+    /// Fletcher-16 sums mod 255, so a byte of 0x00 and one of 0xFF are
+    /// congruent: swapping one for the other is the only single-byte
+    /// change it cannot see.
+    #[test]
+    fn fletcher_is_blind_to_0x00_vs_0xff() {
+        assert_eq!(fletcher16(&[0x00]), 0);
+        assert_eq!(fletcher16(&[0xFF]), 0);
+        assert_eq!(fletcher16(&[1, 0x00, 2]), fletcher16(&[1, 0xFF, 2]));
+        assert_ne!(fletcher16(&[1, 0x01, 2]), fletcher16(&[1, 0xFE, 2]));
+    }
+
+    /// Every single-byte change is detected except the 0x00 <-> 0xFF swap.
+    #[test]
+    fn fletcher_detects_single_byte_changes() {
+        for seed in 0..2_000 {
+            let mut r = Pcg32::new(seed);
+            let data: Vec<u8> = (0..r.range(1, 256)).map(|_| r.next_u8()).collect();
+            let i = r.index(data.len());
             let mut corrupted = data.clone();
-            let i = idx % corrupted.len();
-            corrupted[i] ^= flip;
-            prop_assert_ne!(base, fletcher16(&corrupted));
+            corrupted[i] ^= r.range(1, 256) as u8;
+            let blind = data[i].min(corrupted[i]) == 0x00 && data[i].max(corrupted[i]) == 0xFF;
+            assert_eq!(
+                fletcher16(&data) != fletcher16(&corrupted),
+                !blind,
+                "seed {seed}: byte {i} {:#04x} -> {:#04x}",
+                data[i],
+                corrupted[i]
+            );
         }
     }
 }

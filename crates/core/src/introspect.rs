@@ -7,8 +7,9 @@
 //!
 //! - **cvars** ([`cvar_read`] / [`cvar_write`] / [`CVARS`]): every
 //!   [`crate::StackConfig`] knob is a named, typed, runtime-readable
-//!   variable; the safe subset (eager threshold, telemetry gates, watchdog
-//!   tuning) is runtime-writable through the endpoint's [`Tunables`].
+//!   variable, declared once as a row of [`CVARS`]; the safe subset
+//!   (eager threshold, telemetry gates, watchdog tuning, ...) is
+//!   runtime-writable through the endpoint's [`Tunables`].
 //! - **pvars** ([`pvar_snapshot`]): live readouts of the
 //!   [`crate::metrics::Metrics`] counters and histograms plus queue depths
 //!   and in-flight DMA state, snapshottable as JSON mid-run. Counter pvars
@@ -21,219 +22,19 @@
 //!   each stuck request is wedged in.
 
 use qsim::fxhash::FxHashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use qsim::{Proc, Time};
 
 use crate::config::{CompletionMode, ProgressMode, RdmaScheme, StackConfig};
 use crate::endpoint::Endpoint;
-use crate::state::DmaRole;
+use crate::regcache::RegCache;
+use crate::state::{DmaRole, PendingDma};
+use crate::trace::{Ring, TraceEvent};
 
 // ---------------------------------------------------------------------------
-// tunables: the writable backing store behind the cvar registry
-// ---------------------------------------------------------------------------
-
-/// Runtime-writable stack knobs, initialized from [`StackConfig`] and read
-/// by the hot path instead of the frozen config copy. Plain atomics: the
-/// simulation runs one process at a time, so `Relaxed` suffices.
-pub struct Tunables {
-    eager_limit: AtomicUsize,
-    metrics: AtomicBool,
-    trace: AtomicBool,
-    flight_enable: AtomicBool,
-    watchdog_interval: AtomicU64,
-    watchdog_grace: AtomicU64,
-    retransmit_timeout_ns: AtomicU64,
-    retransmit_backoff: AtomicU64,
-    retransmit_max_retries: AtomicU64,
-    pipeline_enable: AtomicBool,
-    pipeline_chunk: AtomicUsize,
-    pipeline_depth: AtomicUsize,
-    pipeline_min_len: AtomicUsize,
-    flow_enable: AtomicBool,
-    /// Per-peer eager credit window. Seeded from config; a configured 0
-    /// (auto-scale) is resolved against the job size at endpoint init.
-    flow_credits: AtomicUsize,
-    flow_dma_cap: AtomicUsize,
-    coll_nic_offload: AtomicBool,
-    coll_tree_radix: AtomicUsize,
-    coll_hw_bcast: AtomicBool,
-    timeline_interval_ns: AtomicU64,
-    /// Virtual time of the last timeline sample; `u64::MAX` = never sampled,
-    /// so the first due check fires immediately once sampling is enabled.
-    timeline_last_ns: AtomicU64,
-    /// Progress ticks seen (progress passes + watchdog-timeout expiries).
-    /// Lives here rather than in `Metrics` so the watchdog works with
-    /// telemetry off.
-    ticks: AtomicU64,
-}
-
-impl Tunables {
-    /// Seed the writable knobs from a validated config.
-    pub fn from_config(cfg: &StackConfig) -> Self {
-        Tunables {
-            eager_limit: AtomicUsize::new(cfg.eager_limit),
-            metrics: AtomicBool::new(cfg.metrics),
-            trace: AtomicBool::new(cfg.trace),
-            flight_enable: AtomicBool::new(cfg.flight_recorder),
-            watchdog_interval: AtomicU64::new(cfg.watchdog_interval),
-            watchdog_grace: AtomicU64::new(cfg.watchdog_grace as u64),
-            retransmit_timeout_ns: AtomicU64::new(cfg.tcp_retransmit_timeout.as_ns()),
-            retransmit_backoff: AtomicU64::new(cfg.tcp_retransmit_backoff as u64),
-            retransmit_max_retries: AtomicU64::new(cfg.tcp_max_retries as u64),
-            pipeline_enable: AtomicBool::new(cfg.pipeline_enable),
-            pipeline_chunk: AtomicUsize::new(cfg.pipeline_chunk),
-            pipeline_depth: AtomicUsize::new(cfg.pipeline_depth),
-            pipeline_min_len: AtomicUsize::new(cfg.pipeline_min_len),
-            flow_enable: AtomicBool::new(cfg.flow_enable),
-            flow_credits: AtomicUsize::new(cfg.flow_credits),
-            flow_dma_cap: AtomicUsize::new(cfg.flow_dma_cap),
-            coll_nic_offload: AtomicBool::new(cfg.coll_nic_offload),
-            coll_tree_radix: AtomicUsize::new(cfg.coll_tree_radix),
-            coll_hw_bcast: AtomicBool::new(cfg.coll_hw_bcast),
-            timeline_interval_ns: AtomicU64::new(cfg.timeline_interval.as_ns()),
-            timeline_last_ns: AtomicU64::new(u64::MAX),
-            ticks: AtomicU64::new(0),
-        }
-    }
-
-    /// Is the pipelined chunked-RDMA rendezvous enabled right now?
-    pub fn pipeline_enable(&self) -> bool {
-        self.pipeline_enable.load(Ordering::Relaxed)
-    }
-
-    /// Pipeline chunk size in bytes (clamped to >= 1).
-    pub fn pipeline_chunk(&self) -> usize {
-        self.pipeline_chunk.load(Ordering::Relaxed).max(1)
-    }
-
-    /// Chunks allowed in flight per rail (clamped to >= 1).
-    pub fn pipeline_depth(&self) -> usize {
-        self.pipeline_depth.load(Ordering::Relaxed).max(1)
-    }
-
-    /// Elan shares below this stay on the monolithic single-RDMA path.
-    pub fn pipeline_min_len(&self) -> usize {
-        self.pipeline_min_len.load(Ordering::Relaxed)
-    }
-
-    /// Is end-to-end injection flow control enabled right now?
-    pub fn flow_enable(&self) -> bool {
-        self.flow_enable.load(Ordering::Relaxed)
-    }
-
-    /// Per-peer eager credit window (resolved; never 0 once the endpoint
-    /// has initialized with flow control on).
-    pub fn flow_credits(&self) -> usize {
-        self.flow_credits.load(Ordering::Relaxed)
-    }
-
-    /// Resolve the auto-scaled credit window at endpoint init.
-    pub(crate) fn set_flow_credits(&self, v: usize) {
-        self.flow_credits.store(v, Ordering::Relaxed);
-    }
-
-    /// Endpoint-wide outstanding-DMA descriptor cap; 0 = uncapped.
-    pub fn flow_dma_cap(&self) -> usize {
-        self.flow_dma_cap.load(Ordering::Relaxed)
-    }
-
-    /// Are NIC-offloaded chained-event collectives enabled right now?
-    pub fn coll_nic_offload(&self) -> bool {
-        self.coll_nic_offload.load(Ordering::Relaxed)
-    }
-
-    /// Fan-out of the NIC-offloaded collective tree (clamped to >= 2).
-    pub fn coll_tree_radix(&self) -> usize {
-        self.coll_tree_radix.load(Ordering::Relaxed).max(2)
-    }
-
-    /// May eligible broadcasts use the hardware broadcast rail?
-    pub fn coll_hw_bcast(&self) -> bool {
-        self.coll_hw_bcast.load(Ordering::Relaxed)
-    }
-
-    /// Virtual-time gap between timeline samples; 0 = sampler off.
-    pub fn timeline_interval_ns(&self) -> u64 {
-        self.timeline_interval_ns.load(Ordering::Relaxed)
-    }
-
-    /// Is a timeline sample due at `now_ns`? Updates the last-sample stamp
-    /// when it is, so each interval yields exactly one sample.
-    pub fn timeline_due(&self, now_ns: u64) -> bool {
-        let interval = self.timeline_interval_ns();
-        if interval == 0 {
-            return false;
-        }
-        let last = self.timeline_last_ns.load(Ordering::Relaxed);
-        if last != u64::MAX && now_ns.saturating_sub(last) < interval {
-            return false;
-        }
-        self.timeline_last_ns.store(now_ns, Ordering::Relaxed);
-        true
-    }
-
-    /// Current eager/rendezvous threshold in bytes.
-    pub fn eager_limit(&self) -> usize {
-        self.eager_limit.load(Ordering::Relaxed)
-    }
-
-    /// Is telemetry (counters + histograms) enabled right now?
-    pub fn metrics(&self) -> bool {
-        self.metrics.load(Ordering::Relaxed)
-    }
-
-    /// Is protocol tracing enabled right now?
-    pub fn trace(&self) -> bool {
-        self.trace.load(Ordering::Relaxed)
-    }
-
-    /// Is the post-mortem flight recorder enabled right now?
-    pub fn flight_enable(&self) -> bool {
-        self.flight_enable.load(Ordering::Relaxed)
-    }
-
-    /// Progress ticks between watchdog scans; 0 = watchdog off.
-    pub fn watchdog_interval(&self) -> u64 {
-        self.watchdog_interval.load(Ordering::Relaxed)
-    }
-
-    /// Consecutive stale scans before a request is declared stalled.
-    pub fn watchdog_grace(&self) -> u64 {
-        self.watchdog_grace.load(Ordering::Relaxed).max(1)
-    }
-
-    /// Initial retransmit timeout for an unacknowledged control frame.
-    pub fn retransmit_timeout(&self) -> qsim::Dur {
-        qsim::Dur::from_ns(self.retransmit_timeout_ns.load(Ordering::Relaxed))
-    }
-
-    /// Multiplier applied to the timeout after each retry (exponential
-    /// backoff); clamped to >= 1.
-    pub fn retransmit_backoff(&self) -> u32 {
-        self.retransmit_backoff.load(Ordering::Relaxed).max(1) as u32
-    }
-
-    /// Retransmissions attempted before the frame is abandoned and the peer
-    /// declared failed.
-    pub fn retransmit_max_retries(&self) -> u32 {
-        self.retransmit_max_retries.load(Ordering::Relaxed) as u32
-    }
-
-    /// Count one progress tick; returns the new total.
-    pub fn next_tick(&self) -> u64 {
-        self.ticks.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Progress ticks counted so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks.load(Ordering::Relaxed)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// cvar registry
+// cvar registry: one table row per control variable
 // ---------------------------------------------------------------------------
 
 /// A typed control-variable value.
@@ -258,204 +59,397 @@ impl CvarValue {
     }
 }
 
-/// Static description of one control variable.
+/// A cvar's type, with how its value is read from a [`StackConfig`]. The
+/// one reader gives the cvar's default (applied to
+/// [`StackConfig::default`]), the live value of a read-only cvar (applied
+/// to the endpoint's config) and the initial value of a writable one.
+#[derive(Clone, Copy)]
+pub enum CvarGet {
+    /// Boolean knob.
+    Bool(fn(&StackConfig) -> bool),
+    /// Numeric knob (byte counts, depths, intervals, durations in ns).
+    U64(fn(&StackConfig) -> u64),
+    /// Enumerated knob, rendered by name; never writable.
+    Enum(fn(&StackConfig) -> &'static str),
+}
+
+impl CvarGet {
+    /// The cvar's value under `cfg`.
+    fn value(self, cfg: &StackConfig) -> CvarValue {
+        match self {
+            CvarGet::Bool(f) => CvarValue::Bool(f(cfg)),
+            CvarGet::U64(f) => CvarValue::U64(f(cfg)),
+            CvarGet::Enum(f) => CvarValue::Str(f(cfg).to_string()),
+        }
+    }
+
+    /// Type name in the registry JSON.
+    fn type_name(self) -> &'static str {
+        match self {
+            CvarGet::Bool(_) => "bool",
+            CvarGet::U64(_) => "u64",
+            CvarGet::Enum(_) => "enum",
+        }
+    }
+
+    /// `v` as the raw word a writable cvar stores, if it has this type.
+    fn raw(self, v: &CvarValue) -> Option<u64> {
+        match (self, v) {
+            (CvarGet::Bool(_), CvarValue::Bool(b)) => Some(*b as u64),
+            (CvarGet::U64(_), CvarValue::U64(n)) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// A stored raw word as a value of this type.
+    fn typed(self, raw: u64) -> CvarValue {
+        match self {
+            CvarGet::Bool(_) => CvarValue::Bool(raw != 0),
+            CvarGet::U64(_) => CvarValue::U64(raw),
+            CvarGet::Enum(_) => unreachable!("enumerated cvars are read-only"),
+        }
+    }
+}
+
+/// The values a writable cvar accepts; any other write is rejected.
+#[derive(Clone, Copy)]
+pub enum Range {
+    /// Every value of the cvar's type.
+    Any,
+    /// At least the bound; a lower write fails with "NAME must be TEXT".
+    AtLeast(u64, &'static str),
+    /// At most the QDMA inline payload, [`crate::hdr::MAX_INLINE`].
+    InlineMax,
+    /// A per-peer credit window: from 1 up to the bounce pool's slots.
+    CreditWindow,
+}
+
+impl Range {
+    /// Accept or reject a write of `v` to cvar `name` of an endpoint
+    /// configured by `cfg`.
+    fn check(self, name: &str, v: u64, cfg: &StackConfig) -> Result<(), String> {
+        let max_inline = crate::hdr::MAX_INLINE;
+        match self {
+            Range::AtLeast(min, text) if v < min => Err(format!("{name} must be {text}")),
+            Range::InlineMax if v as usize > max_inline => Err(format!(
+                "{name} {v} exceeds the QDMA inline maximum {max_inline}"
+            )),
+            Range::CreditWindow if v == 0 => {
+                Err(format!("{name} must be >= 1 (0 auto-scales at init only)"))
+            }
+            Range::CreditWindow if v as usize > cfg.flow_bounce_pool => Err(format!(
+                "{name} {v} exceeds the bounce pool ({} slots)",
+                cfg.flow_bounce_pool
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    /// A configured value raised to the lower bound, so a knob seeded from
+    /// a config that never enabled its feature still reads in range.
+    fn floor(self, v: u64) -> u64 {
+        match self {
+            Range::AtLeast(min, _) => v.max(min),
+            _ => v,
+        }
+    }
+}
+
+/// Where a cvar's live value lives.
+#[derive(Clone, Copy)]
+pub enum Live {
+    /// Read-only: the endpoint's frozen config, read through the row's
+    /// [`CvarGet`].
+    Fixed,
+    /// Writable: a [`Tunables`] knob seeded from the config at init.
+    Tunable(Knob, Range),
+    /// Writable: a registration-cache setting, by getter and setter.
+    Reg(fn(&RegCache) -> u64, fn(&mut RegCache, u64), Range),
+}
+
+/// One control variable, declared once.
 pub struct CvarDef {
     /// Dotted MPI_T-style name, e.g. `pml.eager_limit`.
     pub name: &'static str,
     /// One-line description.
     pub desc: &'static str,
-    /// Writable at runtime via [`cvar_write`]?
-    pub writable: bool,
+    /// Type, and how the value is read from a config.
+    pub get: CvarGet,
+    /// Where the live value lives and, if writable, what it accepts.
+    pub live: Live,
 }
 
-/// The cvar registry: every stack knob, with its mutability.
-pub const CVARS: &[CvarDef] = &[
-    CvarDef {
-        name: "pml.eager_limit",
-        desc: "messages at most this long (bytes) go eagerly in one QDMA",
-        writable: true,
-    },
-    CvarDef {
-        name: "pml.rdma_scheme",
-        desc: "long-message scheme: write (RDMA-write+FIN) or read (RDMA-read+FIN_ACK)",
-        writable: false,
-    },
-    CvarDef {
-        name: "pml.inline_first_frag",
-        desc: "carry payload inside the rendezvous packet",
-        writable: false,
-    },
-    CvarDef {
-        name: "pml.chained_fin",
-        desc: "NIC fires FIN/FIN_ACK chained to the final RDMA",
-        writable: false,
-    },
-    CvarDef {
-        name: "pml.force_rendezvous",
-        desc: "route every message through the rendezvous path",
-        writable: false,
-    },
-    CvarDef {
-        name: "ptl.completion_mode",
-        desc: "RDMA completion strategy: poll_event, shared_combined, shared_separate",
-        writable: false,
-    },
-    CvarDef {
-        name: "ptl.progress_mode",
-        desc: "progress engine: polling, interrupt, one_thread, two_threads",
-        writable: false,
-    },
-    CvarDef {
-        name: "ptl.qslots",
-        desc: "receive-queue depth (QSLOTS)",
-        writable: false,
-    },
-    CvarDef {
-        name: "ptl.integrity_check",
-        desc: "end-to-end Fletcher-16 payload checking",
-        writable: false,
-    },
-    CvarDef {
-        name: "telemetry.metrics",
-        desc: "per-endpoint counters and histograms",
-        writable: true,
-    },
-    CvarDef {
-        name: "telemetry.trace",
-        desc: "protocol event trace ring",
-        writable: true,
-    },
-    CvarDef {
-        name: "telemetry.trace_capacity",
-        desc: "trace ring capacity (events)",
-        writable: false,
-    },
-    CvarDef {
-        name: "flight.enable",
-        desc: "always-on post-mortem flight recorder (dumped on stall or request failure)",
-        writable: true,
-    },
-    CvarDef {
-        name: "flight.capacity",
-        desc: "flight-recorder ring capacity (events)",
-        writable: false,
-    },
-    CvarDef {
-        name: "watchdog.interval",
-        desc: "progress ticks between watchdog scans; 0 disables",
-        writable: true,
-    },
-    CvarDef {
-        name: "watchdog.grace",
-        desc: "consecutive stale scans before a request is declared stalled",
-        writable: true,
-    },
-    CvarDef {
-        name: "watchdog.tick_ns",
-        desc: "virtual-time bound on blocked waits while the watchdog is armed",
-        writable: false,
-    },
-    CvarDef {
-        name: "tcp.reliability",
-        desc: "sequence-stamp TCP control frames and retransmit until acknowledged",
-        writable: false,
-    },
-    CvarDef {
-        name: "tcp.retransmit_timeout_ns",
-        desc: "initial timeout before an unacknowledged control frame is resent",
-        writable: true,
-    },
-    CvarDef {
-        name: "tcp.retransmit_backoff",
-        desc: "timeout multiplier applied after each retry (exponential backoff)",
-        writable: true,
-    },
-    CvarDef {
-        name: "tcp.max_retries",
-        desc: "retransmissions before the frame is abandoned and the peer declared failed",
-        writable: true,
-    },
-    CvarDef {
-        name: "reg.cache",
-        desc: "registration (pin-down) cache: reuse rendezvous/RMA mappings across requests",
-        writable: true,
-    },
-    CvarDef {
-        name: "reg.cache_bytes",
-        desc: "byte capacity of the registration cache (evicts idle LRU mappings beyond it)",
-        writable: true,
-    },
-    CvarDef {
-        name: "reg.cache_entries",
-        desc: "entry capacity of the registration cache",
-        writable: true,
-    },
-    CvarDef {
-        name: "pipe.enable",
-        desc: "pipelined chunked-RDMA rendezvous (overlap registration with transfer)",
-        writable: true,
-    },
-    CvarDef {
-        name: "pipe.chunk",
-        desc: "pipeline chunk size in bytes",
-        writable: true,
-    },
-    CvarDef {
-        name: "pipe.depth",
-        desc: "pipeline chunks allowed in flight per rail",
-        writable: true,
-    },
-    CvarDef {
-        name: "pipe.min_len",
-        desc: "Elan shares below this many bytes keep the monolithic RDMA path",
-        writable: true,
-    },
-    CvarDef {
-        name: "flow.enable",
-        desc: "end-to-end injection flow control: per-peer eager credits + DMA cap",
-        writable: true,
-    },
-    CvarDef {
-        name: "flow.credits",
-        desc: "per-peer eager credit window (config 0 auto-scales to the job size at init)",
-        writable: true,
-    },
-    CvarDef {
-        name: "flow.dma_cap",
-        desc: "endpoint-wide outstanding RDMA descriptor cap; 0 = uncapped",
-        writable: true,
-    },
-    CvarDef {
-        name: "flow.bounce_pool",
-        desc: "preallocated bounce-buffer pool slots for unexpected-message staging",
-        writable: false,
-    },
-    CvarDef {
-        name: "coll.nic_offload",
-        desc: "compile barrier/bcast/allreduce into NIC-resident chained event programs",
-        writable: true,
-    },
-    CvarDef {
-        name: "coll.tree_radix",
-        desc: "fan-out of the NIC-offloaded collective tree (>= 2)",
-        writable: true,
-    },
-    CvarDef {
-        name: "coll.hw_bcast",
-        desc: "let eligible broadcasts use the hardware broadcast rail",
-        writable: true,
-    },
-    CvarDef {
-        name: "timeline.interval_ns",
-        desc: "virtual-time gap between time-series telemetry samples; 0 disables",
-        writable: true,
-    },
-    CvarDef {
-        name: "timeline.capacity",
-        desc: "timeline sample-ring capacity",
-        writable: false,
-    },
-];
+impl CvarDef {
+    /// Writable at runtime via [`cvar_write`]?
+    pub fn writable(&self) -> bool {
+        !matches!(self.live, Live::Fixed)
+    }
+
+    /// The cvar's live value on `ep`.
+    fn read(&self, ep: &Endpoint) -> CvarValue {
+        match self.live {
+            Live::Fixed => self.get.value(&ep.cfg),
+            Live::Tunable(k, _) => self.get.typed(ep.tunables.get(k)),
+            Live::Reg(get, _, _) => self.get.typed(get(&ep.reg.lock())),
+        }
+    }
+
+    /// Type-check and range-check a write, returning the raw word to store.
+    fn accept(&self, v: &CvarValue, range: Range, cfg: &StackConfig) -> Result<u64, String> {
+        let raw = self
+            .get
+            .raw(v)
+            .ok_or_else(|| format!("cvar {}: type mismatch (got {v:?})", self.name))?;
+        range.check(self.name, raw, cfg)?;
+        Ok(raw)
+    }
+}
+
+/// The cvar registry: every stack knob, with its type, config source,
+/// live home and range.
+pub const CVARS: &[CvarDef] = {
+    use CvarGet::{Bool, Enum, U64};
+    use Live::{Fixed, Reg, Tunable};
+    use Range::{Any, AtLeast, CreditWindow, InlineMax};
+    &[
+        CvarDef {
+            name: "pml.eager_limit",
+            desc: "messages at most this long (bytes) go eagerly in one QDMA",
+            get: U64(|c| c.eager_limit as u64),
+            live: Tunable(Knob::EagerLimit, InlineMax),
+        },
+        CvarDef {
+            name: "pml.rdma_scheme",
+            desc: "long-message scheme: write (RDMA-write+FIN) or read (RDMA-read+FIN_ACK)",
+            get: Enum(|c| scheme_name(c.scheme)),
+            live: Fixed,
+        },
+        CvarDef {
+            name: "pml.inline_first_frag",
+            desc: "carry payload inside the rendezvous packet",
+            get: Bool(|c| c.inline_first_frag),
+            live: Fixed,
+        },
+        CvarDef {
+            name: "pml.chained_fin",
+            desc: "NIC fires FIN/FIN_ACK chained to the final RDMA",
+            get: Bool(|c| c.chained_fin),
+            live: Fixed,
+        },
+        CvarDef {
+            name: "pml.force_rendezvous",
+            desc: "route every message through the rendezvous path",
+            get: Bool(|c| c.force_rendezvous),
+            live: Fixed,
+        },
+        CvarDef {
+            name: "ptl.completion_mode",
+            desc: "RDMA completion strategy: poll_event, shared_combined, shared_separate",
+            get: Enum(|c| completion_name(c.completion)),
+            live: Fixed,
+        },
+        CvarDef {
+            name: "ptl.progress_mode",
+            desc: "progress engine: polling, interrupt, one_thread, two_threads",
+            get: Enum(|c| progress_name(c.progress)),
+            live: Fixed,
+        },
+        CvarDef {
+            name: "ptl.qslots",
+            desc: "receive-queue depth (QSLOTS)",
+            get: U64(|c| c.qslots as u64),
+            live: Fixed,
+        },
+        CvarDef {
+            name: "ptl.integrity_check",
+            desc: "end-to-end Fletcher-16 payload checking",
+            get: Bool(|c| c.integrity_check),
+            live: Fixed,
+        },
+        CvarDef {
+            name: "telemetry.metrics",
+            desc: "per-endpoint counters and histograms",
+            get: Bool(|c| c.metrics),
+            live: Tunable(Knob::Metrics, Any),
+        },
+        CvarDef {
+            name: "telemetry.trace",
+            desc: "protocol event trace ring",
+            get: Bool(|c| c.trace),
+            live: Tunable(Knob::Trace, Any),
+        },
+        CvarDef {
+            name: "telemetry.trace_capacity",
+            desc: "trace ring capacity (events)",
+            get: U64(|c| c.trace_capacity as u64),
+            live: Fixed,
+        },
+        CvarDef {
+            name: "flight.enable",
+            desc: "always-on post-mortem flight recorder (dumped on stall or request failure)",
+            get: Bool(|c| c.flight_recorder),
+            live: Tunable(Knob::FlightEnable, Any),
+        },
+        CvarDef {
+            name: "flight.capacity",
+            desc: "flight-recorder ring capacity (events)",
+            get: U64(|c| c.flight_capacity as u64),
+            live: Fixed,
+        },
+        CvarDef {
+            name: "watchdog.interval",
+            desc: "progress ticks between watchdog scans; 0 disables",
+            get: U64(|c| c.watchdog_interval),
+            live: Tunable(Knob::WatchdogInterval, Any),
+        },
+        CvarDef {
+            name: "watchdog.grace",
+            desc: "consecutive stale scans before a request is declared stalled",
+            get: U64(|c| c.watchdog_grace as u64),
+            live: Tunable(Knob::WatchdogGrace, AtLeast(1, ">= 1")),
+        },
+        CvarDef {
+            name: "watchdog.tick_ns",
+            desc: "virtual-time bound on blocked waits while the watchdog is armed",
+            get: U64(|c| c.watchdog_tick.as_ns()),
+            live: Fixed,
+        },
+        CvarDef {
+            name: "tcp.reliability",
+            desc: "sequence-stamp TCP control frames and retransmit until acknowledged",
+            get: Bool(|c| c.tcp_reliability),
+            live: Fixed,
+        },
+        CvarDef {
+            name: "tcp.retransmit_timeout_ns",
+            desc: "initial timeout before an unacknowledged control frame is resent",
+            get: U64(|c| c.tcp_retransmit_timeout.as_ns()),
+            live: Tunable(Knob::RetransmitTimeoutNs, AtLeast(1, "> 0")),
+        },
+        CvarDef {
+            name: "tcp.retransmit_backoff",
+            desc: "timeout multiplier applied after each retry (exponential backoff)",
+            get: U64(|c| c.tcp_retransmit_backoff as u64),
+            live: Tunable(Knob::RetransmitBackoff, AtLeast(1, ">= 1")),
+        },
+        CvarDef {
+            name: "tcp.max_retries",
+            desc: "retransmissions before the frame is abandoned and the peer declared failed",
+            get: U64(|c| c.tcp_max_retries as u64),
+            live: Tunable(Knob::MaxRetries, Any),
+        },
+        // Disabling stops new insertions; existing entries drain through
+        // the normal release/eviction path.
+        CvarDef {
+            name: "reg.cache",
+            desc: "registration (pin-down) cache: reuse rendezvous/RMA mappings across requests",
+            get: Bool(|c| c.reg_cache),
+            live: Reg(|r| r.enabled() as u64, |r, v| r.set_enabled(v != 0), Any),
+        },
+        CvarDef {
+            name: "reg.cache_bytes",
+            desc: "byte capacity of the registration cache (evicts idle LRU mappings beyond it)",
+            get: U64(|c| c.reg_cache_bytes as u64),
+            live: Reg(
+                |r| r.cap_bytes() as u64,
+                |r, v| r.set_cap_bytes(v as usize),
+                AtLeast(1, "> 0"),
+            ),
+        },
+        CvarDef {
+            name: "reg.cache_entries",
+            desc: "entry capacity of the registration cache",
+            get: U64(|c| c.reg_cache_entries as u64),
+            live: Reg(
+                |r| r.cap_entries() as u64,
+                |r, v| r.set_cap_entries(v as usize),
+                AtLeast(1, "> 0"),
+            ),
+        },
+        CvarDef {
+            name: "pipe.enable",
+            desc: "pipelined chunked-RDMA rendezvous (overlap registration with transfer)",
+            get: Bool(|c| c.pipeline_enable),
+            live: Tunable(Knob::PipeEnable, Any),
+        },
+        CvarDef {
+            name: "pipe.chunk",
+            desc: "pipeline chunk size in bytes",
+            get: U64(|c| c.pipeline_chunk as u64),
+            live: Tunable(Knob::PipeChunk, AtLeast(1, "> 0")),
+        },
+        CvarDef {
+            name: "pipe.depth",
+            desc: "pipeline chunks allowed in flight per rail",
+            get: U64(|c| c.pipeline_depth as u64),
+            live: Tunable(Knob::PipeDepth, AtLeast(1, ">= 1")),
+        },
+        CvarDef {
+            name: "pipe.min_len",
+            desc: "Elan shares below this many bytes keep the monolithic RDMA path",
+            get: U64(|c| c.pipeline_min_len as u64),
+            live: Tunable(Knob::PipeMinLen, Any),
+        },
+        CvarDef {
+            name: "flow.enable",
+            desc: "end-to-end injection flow control: per-peer eager credits + DMA cap",
+            get: Bool(|c| c.flow_enable),
+            live: Tunable(Knob::FlowEnable, Any),
+        },
+        // A configured 0 is resolved against the job size at endpoint init.
+        CvarDef {
+            name: "flow.credits",
+            desc: "per-peer eager credit window (config 0 auto-scales to the job size at init)",
+            get: U64(|c| c.flow_credits as u64),
+            live: Tunable(Knob::FlowCredits, CreditWindow),
+        },
+        CvarDef {
+            name: "flow.dma_cap",
+            desc: "endpoint-wide outstanding RDMA descriptor cap; 0 = uncapped",
+            get: U64(|c| c.flow_dma_cap as u64),
+            live: Tunable(Knob::FlowDmaCap, Any),
+        },
+        CvarDef {
+            name: "flow.bounce_pool",
+            desc: "preallocated bounce-buffer pool slots for unexpected-message staging",
+            get: U64(|c| c.flow_bounce_pool as u64),
+            live: Fixed,
+        },
+        // Armed programs are keyed by communicator/shape, so flipping this
+        // mid-run only steers *future* collectives; it must still be set
+        // uniformly across the job before the next collective.
+        CvarDef {
+            name: "coll.nic_offload",
+            desc: "compile barrier/bcast/allreduce into NIC-resident chained event programs",
+            get: Bool(|c| c.coll_nic_offload),
+            live: Tunable(Knob::CollNicOffload, Any),
+        },
+        CvarDef {
+            name: "coll.tree_radix",
+            desc: "fan-out of the NIC-offloaded collective tree (>= 2)",
+            get: U64(|c| c.coll_tree_radix as u64),
+            live: Tunable(Knob::CollTreeRadix, AtLeast(2, ">= 2")),
+        },
+        CvarDef {
+            name: "coll.hw_bcast",
+            desc: "let eligible broadcasts use the hardware broadcast rail",
+            get: Bool(|c| c.coll_hw_bcast),
+            live: Tunable(Knob::CollHwBcast, Any),
+        },
+        CvarDef {
+            name: "timeline.interval_ns",
+            desc: "virtual-time gap between time-series telemetry samples; 0 disables",
+            get: U64(|c| c.timeline_interval.as_ns()),
+            live: Tunable(Knob::TimelineIntervalNs, Any),
+        },
+        CvarDef {
+            name: "timeline.capacity",
+            desc: "timeline sample-ring capacity",
+            get: U64(|c| c.timeline_capacity as u64),
+            live: Fixed,
+        },
+    ]
+};
 
 fn scheme_name(s: RdmaScheme) -> &'static str {
     match s {
@@ -481,219 +475,26 @@ fn progress_name(p: ProgressMode) -> &'static str {
     }
 }
 
+/// The registry row named `name`, if any.
+fn cvar_def(name: &str) -> Option<&'static CvarDef> {
+    CVARS.iter().find(|d| d.name == name)
+}
+
 /// Read a control variable by name; `None` for unknown names.
 pub fn cvar_read(ep: &Endpoint, name: &str) -> Option<CvarValue> {
-    let v = match name {
-        "pml.eager_limit" => CvarValue::U64(ep.tunables.eager_limit() as u64),
-        "pml.rdma_scheme" => CvarValue::Str(scheme_name(ep.cfg.scheme).to_string()),
-        "pml.inline_first_frag" => CvarValue::Bool(ep.cfg.inline_first_frag),
-        "pml.chained_fin" => CvarValue::Bool(ep.cfg.chained_fin),
-        "pml.force_rendezvous" => CvarValue::Bool(ep.cfg.force_rendezvous),
-        "ptl.completion_mode" => CvarValue::Str(completion_name(ep.cfg.completion).to_string()),
-        "ptl.progress_mode" => CvarValue::Str(progress_name(ep.cfg.progress).to_string()),
-        "ptl.qslots" => CvarValue::U64(ep.cfg.qslots as u64),
-        "ptl.integrity_check" => CvarValue::Bool(ep.cfg.integrity_check),
-        "telemetry.metrics" => CvarValue::Bool(ep.tunables.metrics()),
-        "telemetry.trace" => CvarValue::Bool(ep.tunables.trace()),
-        "telemetry.trace_capacity" => CvarValue::U64(ep.cfg.trace_capacity as u64),
-        "flight.enable" => CvarValue::Bool(ep.tunables.flight_enable()),
-        "flight.capacity" => CvarValue::U64(ep.cfg.flight_capacity as u64),
-        "watchdog.interval" => CvarValue::U64(ep.tunables.watchdog_interval()),
-        "watchdog.grace" => CvarValue::U64(ep.tunables.watchdog_grace()),
-        "watchdog.tick_ns" => CvarValue::U64(ep.cfg.watchdog_tick.as_ns()),
-        "tcp.reliability" => CvarValue::Bool(ep.cfg.tcp_reliability),
-        "tcp.retransmit_timeout_ns" => CvarValue::U64(ep.tunables.retransmit_timeout().as_ns()),
-        "tcp.retransmit_backoff" => CvarValue::U64(ep.tunables.retransmit_backoff() as u64),
-        "tcp.max_retries" => CvarValue::U64(ep.tunables.retransmit_max_retries() as u64),
-        "reg.cache" => CvarValue::Bool(ep.reg.lock().enabled()),
-        "reg.cache_bytes" => CvarValue::U64(ep.reg.lock().cap_bytes() as u64),
-        "reg.cache_entries" => CvarValue::U64(ep.reg.lock().cap_entries() as u64),
-        "pipe.enable" => CvarValue::Bool(ep.tunables.pipeline_enable()),
-        "pipe.chunk" => CvarValue::U64(ep.tunables.pipeline_chunk() as u64),
-        "pipe.depth" => CvarValue::U64(ep.tunables.pipeline_depth() as u64),
-        "pipe.min_len" => CvarValue::U64(ep.tunables.pipeline_min_len() as u64),
-        "flow.enable" => CvarValue::Bool(ep.tunables.flow_enable()),
-        "flow.credits" => CvarValue::U64(ep.tunables.flow_credits() as u64),
-        "flow.dma_cap" => CvarValue::U64(ep.tunables.flow_dma_cap() as u64),
-        "flow.bounce_pool" => CvarValue::U64(ep.cfg.flow_bounce_pool as u64),
-        "coll.nic_offload" => CvarValue::Bool(ep.tunables.coll_nic_offload()),
-        "coll.tree_radix" => CvarValue::U64(ep.tunables.coll_tree_radix() as u64),
-        "coll.hw_bcast" => CvarValue::Bool(ep.tunables.coll_hw_bcast()),
-        "timeline.interval_ns" => CvarValue::U64(ep.tunables.timeline_interval_ns()),
-        "timeline.capacity" => CvarValue::U64(ep.cfg.timeline_capacity as u64),
-        _ => return None,
-    };
-    Some(v)
+    cvar_def(name).map(|d| d.read(ep))
 }
 
 /// Write a runtime-writable control variable. Rejects unknown names,
 /// read-only cvars, type mismatches, and out-of-range values.
 pub fn cvar_write(ep: &Endpoint, name: &str, value: CvarValue) -> Result<(), String> {
-    match (name, value) {
-        ("pml.eager_limit", CvarValue::U64(v)) => {
-            if v as usize > crate::hdr::MAX_INLINE {
-                return Err(format!(
-                    "pml.eager_limit {v} exceeds the QDMA inline maximum {}",
-                    crate::hdr::MAX_INLINE
-                ));
-            }
-            ep.tunables.eager_limit.store(v as usize, Ordering::Relaxed);
-            Ok(())
-        }
-        ("telemetry.metrics", CvarValue::Bool(b)) => {
-            ep.tunables.metrics.store(b, Ordering::Relaxed);
-            Ok(())
-        }
-        ("telemetry.trace", CvarValue::Bool(b)) => {
-            ep.tunables.trace.store(b, Ordering::Relaxed);
-            Ok(())
-        }
-        ("flight.enable", CvarValue::Bool(b)) => {
-            ep.tunables.flight_enable.store(b, Ordering::Relaxed);
-            Ok(())
-        }
-        ("watchdog.interval", CvarValue::U64(v)) => {
-            ep.tunables.watchdog_interval.store(v, Ordering::Relaxed);
-            Ok(())
-        }
-        ("watchdog.grace", CvarValue::U64(v)) => {
-            if v == 0 {
-                return Err("watchdog.grace must be >= 1".to_string());
-            }
-            ep.tunables.watchdog_grace.store(v, Ordering::Relaxed);
-            Ok(())
-        }
-        ("tcp.retransmit_timeout_ns", CvarValue::U64(v)) => {
-            if v == 0 {
-                return Err("tcp.retransmit_timeout_ns must be > 0".to_string());
-            }
-            ep.tunables
-                .retransmit_timeout_ns
-                .store(v, Ordering::Relaxed);
-            Ok(())
-        }
-        ("tcp.retransmit_backoff", CvarValue::U64(v)) => {
-            if v == 0 {
-                return Err("tcp.retransmit_backoff must be >= 1".to_string());
-            }
-            ep.tunables.retransmit_backoff.store(v, Ordering::Relaxed);
-            Ok(())
-        }
-        ("tcp.max_retries", CvarValue::U64(v)) => {
-            ep.tunables
-                .retransmit_max_retries
-                .store(v, Ordering::Relaxed);
-            Ok(())
-        }
-        ("reg.cache", CvarValue::Bool(b)) => {
-            // Disabling stops new insertions; existing entries drain through
-            // the normal release/eviction path.
-            ep.reg.lock().set_enabled(b);
-            Ok(())
-        }
-        ("reg.cache_bytes", CvarValue::U64(v)) => {
-            if v == 0 {
-                return Err("reg.cache_bytes must be > 0".to_string());
-            }
-            ep.reg.lock().set_cap_bytes(v as usize);
-            Ok(())
-        }
-        ("reg.cache_entries", CvarValue::U64(v)) => {
-            if v == 0 {
-                return Err("reg.cache_entries must be > 0".to_string());
-            }
-            ep.reg.lock().set_cap_entries(v as usize);
-            Ok(())
-        }
-        ("pipe.enable", CvarValue::Bool(b)) => {
-            ep.tunables.pipeline_enable.store(b, Ordering::Relaxed);
-            Ok(())
-        }
-        ("pipe.chunk", CvarValue::U64(v)) => {
-            if v == 0 {
-                return Err("pipe.chunk must be > 0".to_string());
-            }
-            ep.tunables
-                .pipeline_chunk
-                .store(v as usize, Ordering::Relaxed);
-            Ok(())
-        }
-        ("pipe.depth", CvarValue::U64(v)) => {
-            if v == 0 {
-                return Err("pipe.depth must be >= 1".to_string());
-            }
-            ep.tunables
-                .pipeline_depth
-                .store(v as usize, Ordering::Relaxed);
-            Ok(())
-        }
-        ("pipe.min_len", CvarValue::U64(v)) => {
-            ep.tunables
-                .pipeline_min_len
-                .store(v as usize, Ordering::Relaxed);
-            Ok(())
-        }
-        ("flow.enable", CvarValue::Bool(b)) => {
-            ep.tunables.flow_enable.store(b, Ordering::Relaxed);
-            Ok(())
-        }
-        ("flow.credits", CvarValue::U64(v)) => {
-            if v == 0 {
-                return Err("flow.credits must be >= 1 (0 auto-scales at init only)".to_string());
-            }
-            if v as usize > ep.cfg.flow_bounce_pool {
-                return Err(format!(
-                    "flow.credits {v} exceeds the bounce pool ({} slots)",
-                    ep.cfg.flow_bounce_pool
-                ));
-            }
-            ep.tunables
-                .flow_credits
-                .store(v as usize, Ordering::Relaxed);
-            Ok(())
-        }
-        ("flow.dma_cap", CvarValue::U64(v)) => {
-            ep.tunables
-                .flow_dma_cap
-                .store(v as usize, Ordering::Relaxed);
-            Ok(())
-        }
-        ("coll.nic_offload", CvarValue::Bool(b)) => {
-            // Armed programs are keyed by communicator/shape, so flipping
-            // this mid-run only steers *future* collectives; it must still
-            // be set uniformly across the job before the next collective.
-            ep.tunables.coll_nic_offload.store(b, Ordering::Relaxed);
-            Ok(())
-        }
-        ("coll.tree_radix", CvarValue::U64(v)) => {
-            if v < 2 {
-                return Err("coll.tree_radix must be >= 2".to_string());
-            }
-            ep.tunables
-                .coll_tree_radix
-                .store(v as usize, Ordering::Relaxed);
-            Ok(())
-        }
-        ("coll.hw_bcast", CvarValue::Bool(b)) => {
-            ep.tunables.coll_hw_bcast.store(b, Ordering::Relaxed);
-            Ok(())
-        }
-        ("timeline.interval_ns", CvarValue::U64(v)) => {
-            ep.tunables.timeline_interval_ns.store(v, Ordering::Relaxed);
-            Ok(())
-        }
-        (n, v) => {
-            if let Some(def) = CVARS.iter().find(|d| d.name == n) {
-                if def.writable {
-                    Err(format!("cvar {n}: type mismatch (got {v:?})"))
-                } else {
-                    Err(format!("cvar {n} is read-only"))
-                }
-            } else {
-                Err(format!("unknown cvar {n}"))
-            }
-        }
+    let d = cvar_def(name).ok_or_else(|| format!("unknown cvar {name}"))?;
+    match d.live {
+        Live::Fixed => return Err(format!("cvar {name} is read-only")),
+        Live::Tunable(k, range) => ep.tunables.set(k, d.accept(&value, range, &ep.cfg)?),
+        Live::Reg(_, set, range) => set(&mut ep.reg.lock(), d.accept(&value, range, &ep.cfg)?),
     }
+    Ok(())
 }
 
 /// All cvars of an endpoint as one JSON object
@@ -702,12 +503,11 @@ pub fn cvars_json(ep: &Endpoint) -> String {
     let rows: Vec<String> = CVARS
         .iter()
         .map(|d| {
-            let v = cvar_read(ep, d.name).expect("registry entry must be readable");
             format!(
                 "\"{}\":{{\"value\":{},\"writable\":{},\"desc\":\"{}\"}}",
                 d.name,
-                v.to_json(),
-                d.writable,
+                d.read(ep).to_json(),
+                d.writable(),
                 d.desc
             )
         })
@@ -717,58 +517,9 @@ pub fn cvars_json(ep: &Endpoint) -> String {
 
 /// The value a cvar takes under [`StackConfig::default`]; `None` for
 /// unknown names. Lets tooling show how far a running stack has been tuned
-/// away from stock without carrying a second table.
+/// away from stock.
 pub fn cvar_default(name: &str) -> Option<CvarValue> {
-    let d = StackConfig::default();
-    let v = match name {
-        "pml.eager_limit" => CvarValue::U64(d.eager_limit as u64),
-        "pml.rdma_scheme" => CvarValue::Str(scheme_name(d.scheme).to_string()),
-        "pml.inline_first_frag" => CvarValue::Bool(d.inline_first_frag),
-        "pml.chained_fin" => CvarValue::Bool(d.chained_fin),
-        "pml.force_rendezvous" => CvarValue::Bool(d.force_rendezvous),
-        "ptl.completion_mode" => CvarValue::Str(completion_name(d.completion).to_string()),
-        "ptl.progress_mode" => CvarValue::Str(progress_name(d.progress).to_string()),
-        "ptl.qslots" => CvarValue::U64(d.qslots as u64),
-        "ptl.integrity_check" => CvarValue::Bool(d.integrity_check),
-        "telemetry.metrics" => CvarValue::Bool(d.metrics),
-        "telemetry.trace" => CvarValue::Bool(d.trace),
-        "telemetry.trace_capacity" => CvarValue::U64(d.trace_capacity as u64),
-        "flight.enable" => CvarValue::Bool(d.flight_recorder),
-        "flight.capacity" => CvarValue::U64(d.flight_capacity as u64),
-        "watchdog.interval" => CvarValue::U64(d.watchdog_interval),
-        "watchdog.grace" => CvarValue::U64(d.watchdog_grace as u64),
-        "watchdog.tick_ns" => CvarValue::U64(d.watchdog_tick.as_ns()),
-        "tcp.reliability" => CvarValue::Bool(d.tcp_reliability),
-        "tcp.retransmit_timeout_ns" => CvarValue::U64(d.tcp_retransmit_timeout.as_ns()),
-        "tcp.retransmit_backoff" => CvarValue::U64(d.tcp_retransmit_backoff as u64),
-        "tcp.max_retries" => CvarValue::U64(d.tcp_max_retries as u64),
-        "reg.cache" => CvarValue::Bool(d.reg_cache),
-        "reg.cache_bytes" => CvarValue::U64(d.reg_cache_bytes as u64),
-        "reg.cache_entries" => CvarValue::U64(d.reg_cache_entries as u64),
-        "pipe.enable" => CvarValue::Bool(d.pipeline_enable),
-        "pipe.chunk" => CvarValue::U64(d.pipeline_chunk as u64),
-        "pipe.depth" => CvarValue::U64(d.pipeline_depth as u64),
-        "pipe.min_len" => CvarValue::U64(d.pipeline_min_len as u64),
-        "flow.enable" => CvarValue::Bool(d.flow_enable),
-        "flow.credits" => CvarValue::U64(d.flow_credits as u64),
-        "flow.dma_cap" => CvarValue::U64(d.flow_dma_cap as u64),
-        "flow.bounce_pool" => CvarValue::U64(d.flow_bounce_pool as u64),
-        "coll.nic_offload" => CvarValue::Bool(d.coll_nic_offload),
-        "coll.tree_radix" => CvarValue::U64(d.coll_tree_radix as u64),
-        "coll.hw_bcast" => CvarValue::Bool(d.coll_hw_bcast),
-        "timeline.interval_ns" => CvarValue::U64(d.timeline_interval.as_ns()),
-        "timeline.capacity" => CvarValue::U64(d.timeline_capacity as u64),
-        _ => return None,
-    };
-    Some(v)
-}
-
-fn cvar_type_name(v: &CvarValue) -> &'static str {
-    match v {
-        CvarValue::Bool(_) => "bool",
-        CvarValue::U64(_) => "u64",
-        CvarValue::Str(_) => "enum",
-    }
+    cvar_def(name).map(|d| d.get.value(&StackConfig::default()))
 }
 
 /// The full introspection registry of one endpoint as JSON: every cvar
@@ -776,19 +527,18 @@ fn cvar_type_name(v: &CvarValue) -> &'static str {
 /// pvar (name, live value). This is the `--list-introspect` document — the
 /// MPI_T equivalent of `ompi_info --all`.
 pub fn registry_json(ep: &Endpoint) -> String {
+    let defaults = StackConfig::default();
     let cvars: Vec<String> = CVARS
         .iter()
         .map(|d| {
-            let v = cvar_read(ep, d.name).expect("registry entry must be readable");
-            let default = cvar_default(d.name).expect("registry entry must have a default");
             format!(
                 "{{\"name\":\"{}\",\"type\":\"{}\",\"default\":{},\"writable\":{},\
                  \"value\":{},\"desc\":\"{}\"}}",
                 d.name,
-                cvar_type_name(&v),
-                default.to_json(),
-                d.writable,
-                v.to_json(),
+                d.get.type_name(),
+                d.get.value(&defaults).to_json(),
+                d.writable(),
+                d.read(ep).to_json(),
                 d.desc
             )
         })
@@ -804,6 +554,121 @@ pub fn registry_json(ep: &Endpoint) -> String {
         cvars.join(","),
         pvars.join(",")
     )
+}
+
+// ---------------------------------------------------------------------------
+// tunables: the live values of the writable cvars
+// ---------------------------------------------------------------------------
+
+/// A runtime-writable knob: one slot of [`Tunables`]. Each variant is the
+/// live home of exactly one [`CVARS`] row and is named after it.
+#[allow(missing_docs)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Knob {
+    EagerLimit,
+    Metrics,
+    Trace,
+    FlightEnable,
+    WatchdogInterval,
+    WatchdogGrace,
+    RetransmitTimeoutNs,
+    RetransmitBackoff,
+    MaxRetries,
+    PipeEnable,
+    PipeChunk,
+    PipeDepth,
+    PipeMinLen,
+    FlowEnable,
+    FlowCredits,
+    FlowDmaCap,
+    CollNicOffload,
+    CollTreeRadix,
+    CollHwBcast,
+    TimelineIntervalNs,
+}
+
+/// Number of [`Knob`]s: the last variant's index + 1.
+const KNOBS: usize = Knob::TimelineIntervalNs as usize + 1;
+
+/// The live values of the writable cvars, seeded from [`StackConfig`] and
+/// read by the hot path instead of the frozen config copy. Every read is
+/// one `Relaxed` load: the simulation runs one process at a time.
+pub struct Tunables {
+    knobs: [AtomicU64; KNOBS],
+    /// Virtual time of the last timeline sample; `u64::MAX` = never sampled,
+    /// so the first due check fires immediately once sampling is enabled.
+    timeline_last_ns: AtomicU64,
+    /// Progress ticks seen (progress passes + watchdog-timeout expiries).
+    /// Lives here rather than in `Metrics` so the watchdog works with
+    /// telemetry off.
+    ticks: AtomicU64,
+}
+
+impl Tunables {
+    /// Seed every knob from its row's config reader, raised to the row's
+    /// lower bound.
+    pub fn from_config(cfg: &StackConfig) -> Self {
+        let t = Tunables {
+            knobs: std::array::from_fn(|_| AtomicU64::new(0)),
+            timeline_last_ns: AtomicU64::new(u64::MAX),
+            ticks: AtomicU64::new(0),
+        };
+        for d in CVARS {
+            if let Live::Tunable(k, range) = d.live {
+                let raw = d.get.raw(&d.get.value(cfg)).expect("knobs are bool or u64");
+                t.set(k, range.floor(raw));
+            }
+        }
+        t
+    }
+
+    /// A knob's current value.
+    #[inline]
+    pub fn get(&self, k: Knob) -> u64 {
+        self.knobs[k as usize].load(Ordering::Relaxed)
+    }
+
+    /// A boolean knob's current value.
+    #[inline]
+    pub fn on(&self, k: Knob) -> bool {
+        self.get(k) != 0
+    }
+
+    /// A size or count knob's current value.
+    #[inline]
+    pub fn get_usize(&self, k: Knob) -> usize {
+        self.get(k) as usize
+    }
+
+    /// Store a knob (writes go through [`cvar_write`], which checks them).
+    pub(crate) fn set(&self, k: Knob, v: u64) {
+        self.knobs[k as usize].store(v, Ordering::Relaxed);
+    }
+
+    /// Is a timeline sample due at `now_ns`? Updates the last-sample stamp
+    /// when it is, so each interval yields exactly one sample.
+    pub fn timeline_due(&self, now_ns: u64) -> bool {
+        let interval = self.get(Knob::TimelineIntervalNs);
+        if interval == 0 {
+            return false;
+        }
+        let last = self.timeline_last_ns.load(Ordering::Relaxed);
+        if last != u64::MAX && now_ns.saturating_sub(last) < interval {
+            return false;
+        }
+        self.timeline_last_ns.store(now_ns, Ordering::Relaxed);
+        true
+    }
+
+    /// Count one progress tick; returns the new total.
+    pub fn next_tick(&self) -> u64 {
+        self.ticks.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Progress ticks counted so far.
+    pub fn ticks(&self) -> u64 {
+        self.ticks.load(Ordering::Relaxed)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -851,6 +716,11 @@ fn hist_vars(out: &mut Vec<(String, u64)>, name: &str, h: &crate::metrics::Histo
     ));
 }
 
+fn ring_vars<T>(out: &mut Vec<(String, u64)>, name: &str, ring: &Ring<T>) {
+    out.push((format!("{name}.retained"), ring.len() as u64));
+    out.push((format!("{name}.dropped"), ring.dropped()));
+}
+
 /// Snapshot every pvar of `ep` without stopping the stack.
 ///
 /// Counter pvars read directly from the endpoint's [`crate::metrics::Metrics`]
@@ -870,11 +740,7 @@ pub fn pvar_snapshot(ep: &Endpoint) -> PvarSnapshot {
         let dma_bytes: usize = st
             .pending_dmas
             .iter()
-            .map(|p| match &p.role {
-                DmaRole::Read { bytes, .. }
-                | DmaRole::Write { bytes, .. }
-                | DmaRole::Chunk { bytes, .. } => *bytes,
-            })
+            .map(|p| DmaSummary::of(p).bytes)
             .sum();
         vars.push(("queues.send_reqs_live".into(), send_live as u64));
         vars.push(("queues.recv_reqs_live".into(), recv_live as u64));
@@ -978,23 +844,11 @@ pub fn pvar_snapshot(ep: &Endpoint) -> PvarSnapshot {
         vars.push(("flight.dumps".into(), ins.flight_dumps.len() as u64));
     }
 
-    // Trace-ring and flight-recorder health: a non-zero `trace.dropped`
-    // means the chrome trace is missing its oldest events.
-    {
-        let t = ep.trace.lock();
-        vars.push(("trace.retained".into(), t.len() as u64));
-        vars.push(("trace.dropped".into(), t.dropped()));
-    }
-    {
-        let f = ep.flight.lock();
-        vars.push(("flight.retained".into(), f.len() as u64));
-        vars.push(("flight.dropped".into(), f.dropped()));
-    }
-    {
-        let tl = ep.timeline.lock();
-        vars.push(("timeline.retained".into(), tl.len() as u64));
-        vars.push(("timeline.dropped".into(), tl.dropped()));
-    }
+    // Ring health: a non-zero `trace.dropped` means the chrome trace is
+    // missing its oldest events.
+    ring_vars(&mut vars, "trace", &ep.trace.lock());
+    ring_vars(&mut vars, "flight", &ep.flight.lock());
+    ring_vars(&mut vars, "timeline", &ep.timeline.lock());
 
     // Fabric link occupancy for this rank's own endpoint links (injection
     // and ejection), summed across rails. Switch-internal links are global
@@ -1075,59 +929,17 @@ impl TimelineSample {
 /// Bounded ring of [`TimelineSample`]s, guarded by the endpoint's timeline
 /// lock (a leaf lock, like the flight recorder's). When full, the oldest
 /// sample is evicted and counted, keeping the most recent history.
-pub struct Timeline {
-    samples: std::collections::VecDeque<TimelineSample>,
-    capacity: usize,
-    dropped: u64,
-}
+pub type Timeline = Ring<TimelineSample>;
 
 impl Timeline {
-    /// An empty ring holding at most `capacity` samples (min 1).
-    pub fn with_capacity(capacity: usize) -> Timeline {
-        Timeline {
-            samples: std::collections::VecDeque::new(),
-            capacity: capacity.max(1),
-            dropped: 0,
-        }
-    }
-
-    /// Append one sample, evicting the oldest when full.
-    pub fn push(&mut self, s: TimelineSample) {
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
-            self.dropped += 1;
-        }
-        self.samples.push_back(s);
-    }
-
-    /// Samples currently retained.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when nothing has been sampled (or everything was evicted).
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Samples evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Retained samples, oldest first.
-    pub fn samples(&self) -> impl Iterator<Item = &TimelineSample> {
-        self.samples.iter()
-    }
-
     /// The retained timeline as one JSON document:
     /// `{"rank":r,"dropped":n,"samples":[...]}`.
     pub fn to_json(&self, rank: usize) -> String {
-        let rows: Vec<String> = self.samples.iter().map(|s| s.to_json()).collect();
+        let rows: Vec<String> = self.iter().map(|s| s.to_json()).collect();
         format!(
             "{{\"rank\":{},\"dropped\":{},\"samples\":[{}]}}",
             rank,
-            self.dropped,
+            self.dropped(),
             rows.join(",")
         )
     }
@@ -1224,20 +1036,19 @@ pub struct StuckReq {
 /// retained flight events (this rank's view of the causal chain). Byte
 /// accounting beats last-event order: DMA completions may interleave with
 /// later issues, so the question is whether issued bytes all landed.
-fn stalled_stage(evs: &[&crate::flight::FlightEvent]) -> String {
-    use crate::flight::FlightEvent as F;
+fn stalled_stage(evs: &[&TraceEvent]) -> String {
     let (mut issued, mut landed) = (0usize, 0usize);
     let (mut sent, mut matched, mut rdma, mut complete) = (false, false, false, false);
     for e in evs {
         match e {
-            F::Send { .. } => sent = true,
-            F::Match { .. } => matched = true,
-            F::Rdma { bytes, .. } => {
+            TraceEvent::SendPosted { .. } => sent = true,
+            TraceEvent::Matched { .. } => matched = true,
+            TraceEvent::RdmaIssued { bytes, .. } => {
                 rdma = true;
                 issued += bytes;
             }
-            F::DmaDone { bytes, .. } => landed += bytes,
-            F::Complete { .. } => complete = true,
+            TraceEvent::DmaDone { bytes, .. } => landed += bytes,
+            TraceEvent::Completed { .. } => complete = true,
             _ => {}
         }
     }
@@ -1268,6 +1079,27 @@ pub struct DmaSummary {
     pub role: &'static str,
     /// Bytes the descriptor moves.
     pub bytes: usize,
+}
+
+impl DmaSummary {
+    /// Summarize one pending descriptor.
+    fn of(p: &PendingDma) -> DmaSummary {
+        let (role, bytes) = match &p.role {
+            DmaRole::Read { bytes, .. } => ("read", *bytes),
+            DmaRole::Write { bytes, .. } => ("write", *bytes),
+            DmaRole::Chunk {
+                bytes,
+                is_read: true,
+                ..
+            } => ("chunk_read", *bytes),
+            DmaRole::Chunk { bytes, .. } => ("chunk_write", *bytes),
+        };
+        DmaSummary {
+            token: p.token,
+            role,
+            bytes,
+        }
+    }
 }
 
 /// An unexpected-queue entry summarized for a diagnostic.
@@ -1409,10 +1241,7 @@ impl StallDiagnostic {
 /// Phase a not-yet-done send is wedged in, by rendezvous scheme and
 /// handshake state.
 fn send_phase(scheme: RdmaScheme, rndv_acked: bool) -> String {
-    let wire = match scheme {
-        RdmaScheme::Write => "rdma-write+fin",
-        RdmaScheme::Read => "rdma-read+fin_ack",
-    };
+    let wire = wire_name(scheme);
     if rndv_acked {
         format!("{wire}: handshake done, awaiting delivery confirmation")
     } else {
@@ -1428,11 +1257,15 @@ fn recv_phase(scheme: RdmaScheme, matched: bool, eager_limit: usize, msg_len: us
     if msg_len <= eager_limit {
         return "eager: matched, inline payload incomplete".to_string();
     }
-    let wire = match scheme {
+    format!("{}: matched, awaiting remaining payload", wire_name(scheme))
+}
+
+/// The long-message protocol a scheme runs, as named in phases.
+fn wire_name(scheme: RdmaScheme) -> &'static str {
+    match scheme {
         RdmaScheme::Write => "rdma-write+fin",
         RdmaScheme::Read => "rdma-read+fin_ack",
-    };
-    format!("{wire}: matched, awaiting remaining payload")
+    }
 }
 
 fn pack_fingerprint(done: bool, flag: bool, bytes: usize) -> u64 {
@@ -1443,7 +1276,7 @@ fn pack_fingerprint(done: bool, flag: bool, bytes: usize) -> u64 {
 /// request exceeded the grace period, after recording it in the endpoint's
 /// introspect state. Locks: state, then introspect (never the reverse).
 fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
-    let grace = ep.tunables.watchdog_grace();
+    let grace = ep.tunables.get(Knob::WatchdogGrace);
     let st = ep.state.lock();
     let mut ins = ep.introspect.lock();
     ins.scans += 1;
@@ -1486,20 +1319,14 @@ fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
     // chain from the flight ring (leaf lock: snapshot and release) so the
     // diagnostic names the exact stage that never completed, not just the
     // request's current protocol phase.
-    let flight_events: Vec<(Time, crate::flight::FlightEvent)> =
-        ep.flight.lock().events().cloned().collect();
+    let flight_events: Vec<(Time, TraceEvent)> = ep.flight.lock().events().cloned().collect();
     let lifecycle_of = |gid: u64| -> (String, String) {
-        let evs: Vec<&crate::flight::FlightEvent> = flight_events
+        let evs: Vec<&(Time, TraceEvent)> = flight_events
             .iter()
-            .filter(|(_, e)| gid != 0 && e.gid() == Some(gid))
-            .map(|(_, e)| e)
+            .filter(|(_, e)| e.gid() == Some(gid))
             .collect();
-        let stage = stalled_stage(&evs);
-        let rows: Vec<String> = flight_events
-            .iter()
-            .filter(|(_, e)| gid != 0 && e.gid() == Some(gid))
-            .map(|(t, e)| e.to_json(*t))
-            .collect();
+        let stage = stalled_stage(&evs.iter().map(|(_, e)| e).collect::<Vec<_>>());
+        let rows: Vec<String> = evs.iter().map(|(t, e)| e.to_json(*t)).collect();
         (stage, format!("[{}]", rows.join(",")))
     };
     let mut stuck = Vec::new();
@@ -1545,7 +1372,7 @@ fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
                 phase: recv_phase(
                     ep.cfg.scheme,
                     r.matched.is_some(),
-                    ep.tunables.eager_limit(),
+                    ep.tunables.get_usize(Knob::EagerLimit),
                     r.matched.as_ref().map(|m| m.msg_len).unwrap_or(0),
                 ),
                 stalled_stage: stage,
@@ -1556,19 +1383,15 @@ fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
     }
     // Snapshot the flight recorder for the post-mortem: first record the
     // stall itself, then freeze the ring's contents into the diagnostic.
-    // The flight lock is a leaf lock, safe under state + introspect.
-    let flight = {
-        let mut f = ep.flight.lock();
-        if ep.tunables.flight_enable() {
-            f.record(
-                now,
-                crate::flight::FlightEvent::Stall {
-                    stuck: stalled.len(),
-                },
-            );
-        }
-        f.events_json()
-    };
+    // The trace and flight locks are leaf locks, safe under state +
+    // introspect.
+    ep.trace(
+        now,
+        TraceEvent::Stall {
+            stuck: stalled.len(),
+        },
+    );
+    let flight = ep.flight.lock().events_json();
     let diag = StallDiagnostic {
         rank: ep.name.rank,
         at_ns: now.as_ns(),
@@ -1585,31 +1408,7 @@ fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
                 msg_len: f.hdr.msg_len as usize,
             })
             .collect(),
-        pending_dmas: st
-            .pending_dmas
-            .iter()
-            .map(|p| match &p.role {
-                DmaRole::Read { bytes, .. } => DmaSummary {
-                    token: p.token,
-                    role: "read",
-                    bytes: *bytes,
-                },
-                DmaRole::Write { bytes, .. } => DmaSummary {
-                    token: p.token,
-                    role: "write",
-                    bytes: *bytes,
-                },
-                DmaRole::Chunk { bytes, is_read, .. } => DmaSummary {
-                    token: p.token,
-                    role: if *is_read {
-                        "chunk_read"
-                    } else {
-                        "chunk_write"
-                    },
-                    bytes: *bytes,
-                },
-            })
-            .collect(),
+        pending_dmas: st.pending_dmas.iter().map(DmaSummary::of).collect(),
         flight,
     };
     ins.stalls_detected += stalled.len() as u64;
@@ -1629,7 +1428,7 @@ fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
 ///
 /// No-op when the watchdog is disabled (`watchdog.interval == 0`).
 pub fn watchdog_tick(proc: &Proc, ep: &Arc<Endpoint>) {
-    let interval = ep.tunables.watchdog_interval();
+    let interval = ep.tunables.get(Knob::WatchdogInterval);
     if interval == 0 {
         return;
     }
@@ -1682,7 +1481,7 @@ mod tests {
                 bytes_total: 100_000,
                 phase: send_phase(RdmaScheme::Read, true),
                 stalled_stage: "wire: RDMA issued, 1984/100000 bytes never landed".to_string(),
-                lifecycle: "[{\"t_ns\":1,\"ev\":\"send\"}]".to_string(),
+                lifecycle: "[{\"t_ns\":1,\"ev\":\"send_posted\"}]".to_string(),
                 stale_scans: 4,
             }],
             posted_depth: 1,
@@ -1705,7 +1504,7 @@ mod tests {
         assert!(j.contains("\"pending_dmas\":[{\"token\":5"));
         assert!(j.contains("\"gid\":72057594037927943"));
         assert!(j.contains("\"stalled_stage\":\"wire: RDMA issued"));
-        assert!(j.contains("\"lifecycle\":[{\"t_ns\":1,\"ev\":\"send\"}]"));
+        assert!(j.contains("\"lifecycle\":[{\"t_ns\":1,\"ev\":\"send_posted\"}]"));
         let r = d.render();
         assert!(r.contains("rank 3 stalled"));
         assert!(r.contains("peer rank 1"));
@@ -1715,27 +1514,29 @@ mod tests {
 
     #[test]
     fn stalled_stage_orders_lifecycle_inferences() {
-        use crate::flight::FlightEvent as F;
-        let send = F::Send {
+        let send = TraceEvent::SendPosted {
             req: 1,
             gid: 9,
+            coll: 0,
             dst: 1,
+            tag: 0,
             len: 100,
             eager: false,
         };
-        let mtch = F::Match {
+        let mtch = TraceEvent::Matched {
             req: 2,
             gid: 9,
             src: 0,
+            tag: 0,
             len: 100,
         };
-        let rdma = F::Rdma {
+        let rdma = TraceEvent::RdmaIssued {
             gid: 9,
             read: true,
             bytes: 100,
         };
-        let done = F::DmaDone { gid: 9, bytes: 100 };
-        let comp = F::Complete {
+        let done = TraceEvent::DmaDone { gid: 9, bytes: 100 };
+        let comp = TraceEvent::Completed {
             req: 2,
             gid: 9,
             send: false,
@@ -1746,6 +1547,22 @@ mod tests {
         assert!(stalled_stage(&[&send, &mtch, &rdma]).contains("wire"));
         assert!(stalled_stage(&[&send, &mtch, &rdma, &done]).contains("fin-wait"));
         assert!(stalled_stage(&[&send, &mtch, &rdma, &done, &comp]).contains("complete"));
+    }
+
+    #[test]
+    fn cvar_table_declares_each_name_and_knob_once() {
+        let names: qsim::fxhash::FxHashSet<&str> = CVARS.iter().map(|d| d.name).collect();
+        assert_eq!(names.len(), CVARS.len(), "duplicate cvar name");
+        let mut owners = [0usize; KNOBS];
+        for d in CVARS {
+            if let Live::Tunable(k, _) = d.live {
+                owners[k as usize] += 1;
+            }
+        }
+        assert_eq!(
+            owners, [1; KNOBS],
+            "every knob is seeded by exactly one row"
+        );
     }
 
     #[test]
@@ -1766,24 +1583,5 @@ mod tests {
         assert!(j.contains("\"t_ns\":2000"));
         assert!(!j.contains("\"t_ns\":0,"));
         assert!(j.contains("\"ej_queue\":2"));
-    }
-
-    #[test]
-    fn cvar_defaults_cover_the_whole_registry() {
-        for d in CVARS {
-            let v = cvar_default(d.name);
-            assert!(v.is_some(), "no default for cvar {}", d.name);
-        }
-        assert_eq!(cvar_default("no.such.cvar"), None);
-        // The default table reflects StackConfig::default(), not a copy.
-        let cfg = StackConfig::default();
-        assert_eq!(
-            cvar_default("pml.eager_limit"),
-            Some(CvarValue::U64(cfg.eager_limit as u64))
-        );
-        assert_eq!(
-            cvar_default("timeline.interval_ns"),
-            Some(CvarValue::U64(cfg.timeline_interval.as_ns()))
-        );
     }
 }

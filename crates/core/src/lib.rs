@@ -28,7 +28,6 @@ pub mod comm;
 pub mod config;
 pub mod critpath;
 pub mod endpoint;
-pub mod flight;
 pub mod hdr;
 pub mod introspect;
 pub mod metrics;
@@ -48,7 +47,6 @@ pub use comm::Communicator;
 pub use config::{CompletionMode, HostConfig, ProgressMode, RdmaScheme, StackConfig};
 pub use critpath::{BucketStats, CritPathReport, MsgPath};
 pub use endpoint::{Endpoint, Transports};
-pub use flight::{FlightEvent, FlightRecorder};
 pub use introspect::{
     cvar_read, cvar_write, cvars_json, pvar_snapshot, CvarValue, PvarSnapshot, StallDiagnostic,
 };

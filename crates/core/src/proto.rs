@@ -17,6 +17,7 @@ use crate::comm::Communicator;
 use crate::config::{CompletionMode, ProgressMode, RdmaScheme};
 use crate::endpoint::Endpoint;
 use crate::hdr::{Hdr, HdrType, MAX_INLINE};
+use crate::introspect::Knob;
 use crate::state::{
     DmaRole, EpState, InflightCtl, MatchInfo, MpiErrClass, PendingDma, PipeChunk, PipeState,
     QueuedSend, RecvReq, SendReq, TcpPush, UnexpectedFrag,
@@ -108,7 +109,8 @@ pub fn post_send_mode(
     // frames resolve it from local request state.
     let gid = crate::hdr::msg_gid(ep.name.job.0, ep.name.rank as u32, id);
 
-    let eager = !sync && !ep.cfg.force_rendezvous && msg_len <= ep.tunables.eager_limit();
+    let eager =
+        !sync && !ep.cfg.force_rendezvous && msg_len <= ep.tunables.get_usize(Knob::EagerLimit);
     // Graceful degradation: a send to a failed or unreachable peer completes
     // immediately with an error status instead of panicking the rank. The
     // ordering seq allocated above leaves a gap, which is harmless — no
@@ -158,10 +160,7 @@ pub fn post_send_mode(
         );
         // Same post-mortem as the degraded completion path in
         // `fail_request`: freeze the flight recorder at the failure.
-        if ep.tunables.flight_enable() {
-            let dump = ep.flight_dump(&format!("request failed: {}", err.mpi_name()), proc.now());
-            ep.introspect.lock().flight_dumps.push(dump);
-        }
+        ep.dump_flight_on_failure(err, proc.now());
         return Request {
             id,
             kind: ReqKind::Send,
@@ -207,8 +206,8 @@ pub fn post_send_mode(
         // already waiting — FIFO per peer) the frame parks locally until
         // credits return, instead of flooding the peer's receive queue.
         // Self-sends loop back without touching the fabric and are exempt.
-        let parked = if ep.tunables.flow_enable() && dst != ep.name {
-            let init = ep.tunables.flow_credits();
+        let parked = if ep.tunables.on(Knob::FlowEnable) && dst != ep.name {
+            let init = ep.tunables.get_usize(Knob::FlowCredits);
             let mut st = ep.state.lock();
             let fp = st.flow_entry(dst, init);
             if fp.credits == 0 || !fp.queued.is_empty() {
@@ -238,7 +237,7 @@ pub fn post_send_mode(
                 crate::trace::TraceEvent::FlowQueued { req: id, gid },
             );
         } else {
-            if ep.tunables.flow_enable() && dst != ep.name {
+            if ep.tunables.on(Knob::FlowEnable) && dst != ep.name {
                 ep.metric(|m| m.counters.flow_credits_consumed += 1);
             }
             send_frame(proc, ep, &peer, route, hdr, payload);
@@ -282,8 +281,8 @@ pub fn post_send_mode(
     // NETWORKDEPTH throttle): a rendezvous post waits for descriptor room
     // before adding more. Only the application thread blocks here — the
     // progress path enforces the same cap inside the chunk engine.
-    let dma_cap = ep.tunables.flow_dma_cap();
-    if ep.tunables.flow_enable() && dma_cap > 0 {
+    let dma_cap = ep.tunables.get_usize(Knob::FlowDmaCap);
+    if ep.tunables.on(Knob::FlowEnable) && dma_cap > 0 {
         let needs_wait = ep.state.lock().pending_dmas.len() >= dma_cap;
         if needs_wait {
             ep.wait_until(proc, |st| st.pending_dmas.len() < dma_cap);
@@ -994,7 +993,7 @@ fn matched(proc: &Proc, ep: &Arc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
         // matched-and-copied message has truly vacated its receiver-side
         // buffering. The credit rides the next control frame toward the
         // sender, or an explicit return once enough accumulate.
-        if ep.tunables.flow_enable() && hdr.send_req != 0 && frag.from != ep.name {
+        if ep.tunables.on(Knob::FlowEnable) && hdr.send_req != 0 && frag.from != ep.name {
             flow_note_delivered(ep, frag.from);
         }
         maybe_complete_recv(proc, ep, rid);
@@ -1137,7 +1136,7 @@ fn matched(proc: &Proc, ep: &Arc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
                         );
                     }
                 } else {
-                    if ep.tunables.pipeline_enable() {
+                    if ep.tunables.on(Knob::PipeEnable) {
                         ep.metric(|m| m.counters.pipe_fallback += 1);
                     }
                     issue_rdma(
@@ -1321,7 +1320,7 @@ fn handle_ack(proc: &Proc, ep: &Arc<Endpoint>, hdr: Hdr) {
                 // lazily here (also covering pipelining having been turned
                 // off between post and ACK), tolerating the request having
                 // been raced to a mapping or failed while registering.
-                if ep.tunables.pipeline_enable() {
+                if ep.tunables.on(Knob::PipeEnable) {
                     ep.metric(|m| m.counters.pipe_fallback += 1);
                 }
                 let src_e4 = match src_e4 {
@@ -1558,7 +1557,7 @@ fn first_receiver_contact(proc: &Proc, ep: &Arc<Endpoint>, sid: u64) {
     let Some(posted_at) = posted_at else { return };
     // The flag flip above is protocol state (the watchdog reads it to name
     // the stall phase); only the telemetry below is gated.
-    if !ep.tunables.metrics() && !ep.tunables.trace() {
+    if !ep.tunables.on(Knob::Metrics) && !ep.tunables.on(Knob::Trace) {
         return;
     }
     ep.metric(|m| {
@@ -1762,7 +1761,7 @@ fn send_frame(
         hdr.src_rank = ep.name.rank as u32;
     }
     let frame = hdr.frame(&payload);
-    if ep.tunables.metrics() {
+    if ep.tunables.on(Knob::Metrics) {
         ep.metric(|m| {
             if let Some(i) = control_idx(hdr.kind) {
                 m.counters.control(i);
@@ -1782,7 +1781,7 @@ fn send_frame(
         Route::Tcp => {
             if reliable {
                 let rel_seq = hdr.tag as u32;
-                let timeout = ep.tunables.retransmit_timeout();
+                let timeout = qsim::Dur::from_ns(ep.tunables.get(Knob::RetransmitTimeoutNs));
                 let deadline = proc.now() + timeout;
                 ep.state.lock().ctl_inflight.push(InflightCtl {
                     peer: peer.name,
@@ -1977,9 +1976,9 @@ fn issue_rdma(
 /// than one chunk (a single chunk is the monolithic path with extra
 /// bookkeeping).
 fn pipe_eligible(ep: &Arc<Endpoint>, elan_share: usize) -> bool {
-    ep.tunables.pipeline_enable()
-        && elan_share >= ep.tunables.pipeline_min_len()
-        && elan_share > ep.tunables.pipeline_chunk()
+    ep.tunables.on(Knob::PipeEnable)
+        && elan_share >= ep.tunables.get_usize(Knob::PipeMinLen)
+        && elan_share > ep.tunables.get_usize(Knob::PipeChunk)
 }
 
 /// Begin a pipelined bulk transfer and issue its first window of chunks.
@@ -2012,8 +2011,8 @@ fn pipe_start(
         region,
         base_off,
         total,
-        chunk: ep.tunables.pipeline_chunk(),
-        depth: ep.tunables.pipeline_depth(),
+        chunk: ep.tunables.get_usize(Knob::PipeChunk),
+        depth: ep.tunables.get_usize(Knob::PipeDepth),
         rails,
         cacheable,
         next_off: 0,
@@ -2092,14 +2091,14 @@ fn pipe_pick_rail(ps: &mut PipeState) -> Option<usize> {
 fn pipe_pump(proc: &Proc, ep: &Arc<Endpoint>, req: u64) -> bool {
     let mut worked = false;
     loop {
-        let dma_cap = ep.tunables.flow_dma_cap();
+        let dma_cap = ep.tunables.get_usize(Knob::FlowDmaCap);
         let (step, peer, info) = {
             let mut st = ep.state.lock();
             // Endpoint-wide outstanding-DMA cap: when flow control is on,
             // a full descriptor window idles the pump (non-blocking — the
             // next completion or progress pass refills it).
             let throttled =
-                ep.tunables.flow_enable() && dma_cap > 0 && st.pending_dmas.len() >= dma_cap;
+                ep.tunables.on(Knob::FlowEnable) && dma_cap > 0 && st.pending_dmas.len() >= dma_cap;
             let Some(ps) = st.pipelines.get_mut(&req) else {
                 return worked;
             };
@@ -2503,7 +2502,7 @@ pub(crate) fn pipe_pump_all(proc: &Proc, ep: &Arc<Endpoint>) -> bool {
 /// wait loop keeps cycling until the pushes drain instead of blocking.
 pub(crate) fn tcp_push_pump(proc: &Proc, ep: &Arc<Endpoint>) -> bool {
     let host = ep.cfg.host.clone();
-    let burst_frags = ep.tunables.pipeline_depth();
+    let burst_frags = ep.tunables.get_usize(Knob::PipeDepth);
     let bursts: Vec<(u64, crate::peer::PeerInfo, Hdr, HostBuf, usize, usize)> = {
         let mut st = ep.state.lock();
         if st.tcp_pushes.is_empty() {
@@ -2662,7 +2661,7 @@ fn flow_bounce_free(ep: &Arc<Endpoint>, buf: HostBuf) {
 /// *noted*, not sent — it rides the next control frame toward that peer,
 /// or an explicit return once enough accumulate (see `flow_pump`).
 fn flow_note_delivered(ep: &Arc<Endpoint>, peer: ProcName) {
-    let init = ep.tunables.flow_credits();
+    let init = ep.tunables.get_usize(Knob::FlowCredits);
     let mut st = ep.state.lock();
     let fp = st.flow_entry(peer, init);
     fp.pending_return += 1;
@@ -2674,7 +2673,7 @@ fn flow_note_delivered(ep: &Arc<Endpoint>, peer: ProcName) {
 /// stays pending). Zero when flow control is off — the packed fields then
 /// carry exactly the legacy values.
 fn flow_take_pending(ep: &Arc<Endpoint>, peer: ProcName) -> u16 {
-    if !ep.tunables.flow_enable() {
+    if !ep.tunables.on(Knob::FlowEnable) {
         return 0;
     }
     let mut st = ep.state.lock();
@@ -2714,10 +2713,10 @@ fn stamp_ack_credits(ep: &Arc<Endpoint>, peer: ProcName, ack: &mut Hdr) {
 /// explicit CREDIT_RETURN). Restock the window and drain any sends parked
 /// on it.
 fn flow_credits_in(proc: &Proc, ep: &Arc<Endpoint>, peer: ProcName, n: usize, _piggyback: bool) {
-    if n == 0 || !ep.tunables.flow_enable() {
+    if n == 0 || !ep.tunables.on(Knob::FlowEnable) {
         return;
     }
-    let init = ep.tunables.flow_credits();
+    let init = ep.tunables.get_usize(Knob::FlowCredits);
     {
         let mut st = ep.state.lock();
         let fp = st.flow_entry(peer, init);
@@ -2833,7 +2832,7 @@ fn send_credit_return(proc: &Proc, ep: &Arc<Endpoint>, to: ProcName, n: usize) {
 /// feeding the end-to-end window — and retry on a later pass, so deferral
 /// can stall but never deadlock.
 pub(crate) fn flow_pump(proc: &Proc, ep: &Arc<Endpoint>) -> bool {
-    if !ep.tunables.flow_enable() {
+    if !ep.tunables.on(Knob::FlowEnable) {
         return false;
     }
     let mut any = false;
@@ -2850,7 +2849,7 @@ pub(crate) fn flow_pump(proc: &Proc, ep: &Arc<Endpoint>) -> bool {
             any = true;
         }
     }
-    let threshold = (ep.tunables.flow_credits() / 2).max(1);
+    let threshold = (ep.tunables.get_usize(Knob::FlowCredits) / 2).max(1);
     let backoff = ep.cfg.flow_ej_backoff;
     let congested = backoff > 0 && ep.ejection_depth(proc.now()) >= backoff as u64;
     let returns: Vec<(ProcName, usize)> = {
@@ -3114,10 +3113,7 @@ pub(crate) fn fail_request(
     );
     // Post-mortem: freeze the flight recorder at the moment of failure so
     // the harness can explain *what led up to* the error, not just name it.
-    if ep.tunables.flight_enable() {
-        let dump = ep.flight_dump(&format!("request failed: {}", err.mpi_name()), proc.now());
-        ep.introspect.lock().flight_dumps.push(dump);
-    }
+    ep.dump_flight_on_failure(err, proc.now());
     notify_waiters(proc, ep);
 }
 
@@ -3130,8 +3126,8 @@ pub(crate) fn reliability_tick(proc: &Proc, ep: &Arc<Endpoint>) {
         return;
     }
     let now = proc.now();
-    let max_retries = ep.tunables.retransmit_max_retries();
-    let backoff = ep.tunables.retransmit_backoff().max(1) as u64;
+    let max_retries = ep.tunables.get(Knob::MaxRetries);
+    let backoff = ep.tunables.get(Knob::RetransmitBackoff);
     let mut resends: Vec<(ProcName, Vec<u8>, HdrType, u32, u32)> = Vec::new();
     let mut abandoned: Vec<InflightCtl> = Vec::new();
     {
@@ -3145,7 +3141,7 @@ pub(crate) fn reliability_tick(proc: &Proc, ep: &Arc<Endpoint>) {
                 i += 1;
                 continue;
             }
-            if st.ctl_inflight[i].attempts >= max_retries {
+            if u64::from(st.ctl_inflight[i].attempts) >= max_retries {
                 let e = st.ctl_inflight.remove(i);
                 st.failed_peers.insert(e.peer);
                 abandoned.push(e);

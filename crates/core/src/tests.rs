@@ -1434,7 +1434,10 @@ fn incast_run(flow_on: bool) -> (u64, u64, u64, u64) {
         if mpi.rank() == 0 {
             let (_, ej) = ep.cluster.fabric().node_link_totals(ep.node);
             p2.store(ej.queue_peak, Ordering::SeqCst);
-            c2.store(ep.tunables.flow_credits() as u64, Ordering::SeqCst);
+            c2.store(
+                ep.tunables.get_usize(crate::introspect::Knob::FlowCredits) as u64,
+                Ordering::SeqCst,
+            );
         }
         f2.fetch_add(
             ep.metrics_snapshot().counters.flow_pool_fallbacks,

@@ -11,6 +11,12 @@
 //! by id), and a [Chrome trace-event] exporter so a run's per-rank timeline
 //! can be loaded straight into `chrome://tracing` or Perfetto.
 //!
+//! The same events also feed the always-on post-mortem *flight recorder*:
+//! a second, small [`TraceLog`] per endpoint that keeps only the events
+//! [`TraceEvent::in_flight_recorder`] selects and is dumped as JSON when
+//! the watchdog declares a stall or a request fails with an MPI error
+//! class ([`TraceLog::dump_json`]).
+//!
 //! [Chrome trace-event]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use std::collections::VecDeque;
@@ -20,6 +26,10 @@ use qsim::Time;
 /// Default ring capacity of a [`TraceLog`]; see
 /// [`crate::StackConfig::trace_capacity`].
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
+
+/// Default ring capacity of the flight recorder; see
+/// [`crate::StackConfig::flight_capacity`].
+pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 
 /// One recorded protocol event.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -198,6 +208,11 @@ pub enum TraceEvent {
         /// `"barrier"`, `"bcast"` or `"allreduce"`.
         kind: &'static str,
     },
+    /// The progress watchdog declared a stall on this rank.
+    Stall {
+        /// Number of stuck requests.
+        stuck: usize,
+    },
     /// A multi-event interval opened (rendezvous handshake, RDMA burst).
     SpanBegin {
         /// Correlates with the matching [`TraceEvent::SpanEnd`]. Unique per
@@ -242,8 +257,61 @@ impl TraceEvent {
             TraceEvent::FlowSent { .. } => "flow_sent",
             TraceEvent::NicProgArmed { .. } => "nic_prog_armed",
             TraceEvent::NicCollComplete { .. } => "nic_coll_complete",
+            TraceEvent::Stall { .. } => "stall",
             TraceEvent::SpanBegin { name, .. } | TraceEvent::SpanEnd { name, .. } => name,
         }
+    }
+
+    /// The global message id an event is attributed to, when it carries one
+    /// and it is non-zero. Reconstructs a single message's lifecycle out of
+    /// a ring (critical path, stall diagnostics).
+    pub fn gid(&self) -> Option<u64> {
+        match self {
+            TraceEvent::SendPosted { gid, .. }
+            | TraceEvent::Matched { gid, .. }
+            | TraceEvent::Registered { gid, .. }
+            | TraceEvent::RdmaIssued { gid, .. }
+            | TraceEvent::PipeChunk { gid, .. }
+            | TraceEvent::DmaDone { gid, .. }
+            | TraceEvent::ControlSent { gid, .. }
+            | TraceEvent::FlowQueued { gid, .. }
+            | TraceEvent::FlowSent { gid, .. }
+            | TraceEvent::Completed { gid, .. } => (*gid != 0).then_some(*gid),
+            _ => None,
+        }
+    }
+
+    /// Does the flight recorder keep this event? High-volume or
+    /// bookkeeping-only events (pipeline chunks, registrations, duplicate
+    /// suppressions, flow parking, NIC programs, spans) would wash its
+    /// small ring out.
+    pub fn in_flight_recorder(&self) -> bool {
+        !matches!(
+            self,
+            TraceEvent::PipeChunk { .. }
+                | TraceEvent::Registered { .. }
+                | TraceEvent::CtlDuplicate { .. }
+                | TraceEvent::FlowQueued { .. }
+                | TraceEvent::FlowSent { .. }
+                | TraceEvent::NicProgArmed { .. }
+                | TraceEvent::NicCollComplete { .. }
+                | TraceEvent::SpanBegin { .. }
+                | TraceEvent::SpanEnd { .. }
+        )
+    }
+
+    /// One event as a flat JSON object, timestamped:
+    /// `{"t_ns":t,"ev":name,<args fields>}`.
+    pub fn to_json(&self, at: Time) -> String {
+        // Every args object has at least one field, so its body spliced
+        // after a comma stays valid JSON.
+        let args = self.args_json();
+        format!(
+            "{{\"t_ns\":{},\"ev\":\"{}\",{}",
+            at.as_ns(),
+            escape_json(self.name()),
+            &args[1..]
+        )
     }
 
     /// Event payload as a JSON object for the exporter's `args` field.
@@ -345,6 +413,7 @@ impl TraceEvent {
                     escape_json(kind)
                 )
             }
+            TraceEvent::Stall { stuck } => format!("{{\"stuck\":{stuck}}}"),
             TraceEvent::SpanBegin { id, .. } | TraceEvent::SpanEnd { id, .. } => {
                 format!("{{\"span\":{id}}}")
             }
@@ -352,15 +421,64 @@ impl TraceEvent {
     }
 }
 
-/// A per-endpoint trace buffer: a bounded ring. When full, the oldest event
-/// is evicted and counted in [`TraceLog::dropped`], so a long run with a
-/// small capacity keeps the *tail* of the timeline.
+/// A bounded ring. When full, the oldest entry is evicted and counted in
+/// [`Ring::dropped`], so a long run with a small capacity keeps the *tail*
+/// of its history. The trace log, the flight recorder and the timeline
+/// sampler are all rings.
 #[derive(Clone)]
-pub struct TraceLog {
-    events: VecDeque<(Time, TraceEvent)>,
+pub struct Ring<T> {
+    items: VecDeque<T>,
     capacity: usize,
     dropped: u64,
 }
+
+impl<T> Ring<T> {
+    /// An empty ring holding at most `capacity` entries (min 1).
+    pub fn with_capacity(capacity: usize) -> Ring<T> {
+        Ring {
+            items: VecDeque::new(),
+            capacity: capacity.max(1),
+            dropped: 0,
+        }
+    }
+
+    /// Append one entry, evicting the oldest when full.
+    pub fn push(&mut self, item: T) {
+        if self.items.len() == self.capacity {
+            self.items.pop_front();
+            self.dropped += 1;
+        }
+        self.items.push_back(item);
+    }
+
+    /// Retained entries, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.items.iter()
+    }
+
+    /// Number of entries currently retained.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// True when nothing is retained.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// Maximum entries retained before eviction starts.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Entries evicted because the ring was full.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+}
+
+/// A per-endpoint trace buffer: a [`Ring`] of timestamped events.
+pub type TraceLog = Ring<(Time, TraceEvent)>;
 
 impl Default for TraceLog {
     fn default() -> Self {
@@ -369,60 +487,45 @@ impl Default for TraceLog {
 }
 
 impl TraceLog {
-    /// An empty log holding at most `capacity` events (min 1).
-    pub fn with_capacity(capacity: usize) -> TraceLog {
-        TraceLog {
-            events: VecDeque::new(),
-            capacity: capacity.max(1),
-            dropped: 0,
-        }
-    }
-
     /// Record one event at `now`, evicting the oldest when full.
     pub fn record(&mut self, now: Time, ev: TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back((now, ev));
+        self.push((now, ev));
     }
 
     /// Retained events in record order.
     pub fn events(&self) -> impl Iterator<Item = &(Time, TraceEvent)> {
-        self.events.iter()
-    }
-
-    /// Number of events currently retained.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Maximum events retained before eviction starts.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.iter()
     }
 
     /// Render the trace as aligned text lines.
     pub fn dump(&self) -> Vec<String> {
-        self.events
-            .iter()
+        self.iter()
             .map(|(t, e)| format!("{:>12} {:?}", format!("{t}"), e))
             .collect()
     }
 
     /// Count events matching a predicate.
     pub fn count(&self, f: impl Fn(&TraceEvent) -> bool) -> usize {
-        self.events.iter().filter(|(_, e)| f(e)).count()
+        self.iter().filter(|(_, e)| f(e)).count()
+    }
+
+    /// The retained events as a JSON array of [`TraceEvent::to_json`] rows.
+    pub fn events_json(&self) -> String {
+        let rows: Vec<String> = self.iter().map(|(t, e)| e.to_json(*t)).collect();
+        format!("[{}]", rows.join(","))
+    }
+
+    /// A post-mortem dump document for one rank:
+    /// `{"rank":r,"reason":"...","at_ns":t,"dropped":n,"events":[...]}`.
+    pub fn dump_json(&self, rank: usize, reason: &str, at: Time) -> String {
+        format!(
+            "{{\"rank\":{},\"reason\":\"{}\",\"at_ns\":{},\"dropped\":{},\"events\":{}}}",
+            rank,
+            escape_json(reason),
+            at.as_ns(),
+            self.dropped,
+            self.events_json()
+        )
     }
 }
 
@@ -593,6 +696,70 @@ mod tests {
             })
             .collect();
         assert_eq!(reqs, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn flight_predicate_keeps_protocol_events_and_drops_noise() {
+        let send = TraceEvent::SendPosted {
+            req: 9,
+            gid: 77,
+            coll: 0,
+            dst: 1,
+            tag: 5,
+            len: 4096,
+            eager: false,
+        };
+        assert!(send.in_flight_recorder());
+        assert_eq!(send.gid(), Some(77));
+        assert!(TraceEvent::ReqFailed {
+            req: 2,
+            send: true,
+            err: "MPI_ERR_PROC_FAILED"
+        }
+        .in_flight_recorder());
+        assert!(TraceEvent::Stall { stuck: 1 }.in_flight_recorder());
+        for noise in [
+            TraceEvent::PipeChunk {
+                req: 1,
+                gid: 77,
+                off: 0,
+                len: 8192,
+                last: false,
+            },
+            TraceEvent::Registered {
+                gid: 77,
+                bytes: 8192,
+                cost_ns: 100,
+            },
+            TraceEvent::SpanBegin {
+                id: 1,
+                cat: "rndv",
+                name: "x",
+            },
+        ] {
+            assert!(!noise.in_flight_recorder(), "{noise:?}");
+        }
+        assert_eq!(TraceEvent::DmaDone { gid: 0, bytes: 1 }.gid(), None);
+    }
+
+    #[test]
+    fn dump_renders_flat_timestamped_rows() {
+        let mut log = TraceLog::with_capacity(DEFAULT_FLIGHT_CAPACITY);
+        log.record(
+            Time::from_ns(100),
+            TraceEvent::ControlSent {
+                gid: 5,
+                kind: "FinAck",
+            },
+        );
+        log.record(Time::from_ns(200), TraceEvent::Stall { stuck: 2 });
+        let dump = log.dump_json(3, "watchdog stall", Time::from_ns(250));
+        assert_eq!(
+            dump,
+            "{\"rank\":3,\"reason\":\"watchdog stall\",\"at_ns\":250,\"dropped\":0,\"events\":[\
+             {\"t_ns\":100,\"ev\":\"control_sent\",\"gid\":5,\"kind\":\"FinAck\"},\
+             {\"t_ns\":200,\"ev\":\"stall\",\"stuck\":2}]}"
+        );
     }
 
     #[test]

@@ -141,8 +141,6 @@ impl Convertor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
 
     fn pattern(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 31 % 251) as u8).collect()
@@ -227,30 +225,26 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn roundtrip_arbitrary_fragmentation(
-            blocks in proptest::collection::vec((0usize..40, 1usize..9), 1..6),
-            count in 1usize..5,
-            cut in 1usize..64,
-        ) {
-            // Build an indexed type; normalize overlapping blocks by sorting
-            // and spacing them out.
+    #[test]
+    fn roundtrip_arbitrary_fragmentation() {
+        for seed in 0..1_000 {
+            let mut r = qsim::Pcg32::new(seed);
+            // An indexed type of spaced-out blocks (gap 0..40, length 1..9).
             let mut disp = 0usize;
-            let blocks: Vec<(usize, usize)> = blocks
-                .into_iter()
-                .map(|(gap, len)| {
-                    let d = disp + gap;
+            let blocks: Vec<(usize, usize)> = (0..r.range(1, 6))
+                .map(|_| {
+                    let d = disp + r.range(0, 40);
+                    let len = r.range(1, 9);
                     disp = d + len;
                     (d, len)
                 })
                 .collect();
             let t = Datatype::indexed(blocks, Datatype::u8());
-            let c = Convertor::new(t, count);
+            let c = Convertor::new(t, r.range(1, 5));
+            let cut = r.range(1, 64);
             let src = pattern(c.span().max(1));
             let full = c.pack(&src);
-            prop_assert_eq!(full.len(), c.packed_len());
+            assert_eq!(full.len(), c.packed_len(), "seed {seed}");
 
             let mut dst = vec![0u8; c.span().max(1)];
             let mut pos = 0;
@@ -260,7 +254,7 @@ mod tests {
                 pos += take;
             }
             for (off, len) in c.segments() {
-                prop_assert_eq!(&dst[off..off + len], &src[off..off + len]);
+                assert_eq!(&dst[off..off + len], &src[off..off + len], "seed {seed}");
             }
         }
     }

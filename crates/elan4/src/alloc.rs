@@ -100,8 +100,6 @@ impl Allocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
 
     #[test]
     fn alloc_free_roundtrip() {
@@ -144,31 +142,35 @@ mod tests {
         a.free(x, 64);
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn allocations_never_overlap(ops in proptest::collection::vec(1usize..5000, 1..60)) {
+    #[test]
+    fn allocations_never_overlap() {
+        for seed in 0..3_000 {
+            let mut r = qsim::Pcg32::new(seed);
             let mut a = Allocator::new(1 << 20);
             let mut live: Vec<(usize, usize)> = Vec::new();
-            for (i, len) in ops.iter().enumerate() {
+            for i in 0..r.range(1, 60) {
+                let len = r.range(1, 5000);
                 if i % 3 == 2 && !live.is_empty() {
                     let (off, l) = live.swap_remove(i % live.len());
                     a.free(off, l);
-                } else if let Some(off) = a.alloc(*len) {
+                } else if let Some(off) = a.alloc(len) {
                     let end = off + len;
                     for &(o, l) in &live {
-                        let aligned = super::align_up(*len);
-                        prop_assert!(end <= o || off >= o + l,
-                            "overlap: [{off},{}) vs [{o},{}) aligned={aligned}", end, o + l);
+                        assert!(
+                            end <= o || off >= o + l,
+                            "seed {seed}: overlap [{off},{end}) vs [{o},{})",
+                            o + l
+                        );
                     }
-                    live.push((off, *len));
+                    live.push((off, len));
                 }
             }
-            // free everything; arena must return to a single block
+            // Free everything; the arena must return to a single block.
             for (off, l) in live {
                 a.free(off, l);
             }
-            prop_assert_eq!(a.in_use(), 0);
+            assert_eq!(a.in_use(), 0, "seed {seed}");
+            assert_eq!(a.free.len(), 1, "seed {seed}: arena did not coalesce");
         }
     }
 }

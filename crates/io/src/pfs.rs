@@ -257,27 +257,24 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
+/// Seeded property tests: each loops over a fixed seed range.
+#[cfg(test)]
 mod prop_tests {
     use super::*;
-    use proptest::prelude::*;
 
-    proptest! {
-        /// Arbitrary interleavings of writes and reads behave like a plain
-        /// in-memory file.
-        #[test]
-        fn pfs_matches_reference_file(
-            ops in proptest::collection::vec(
-                (0usize..300_000, 1usize..80_000, any::<u8>(), any::<bool>()),
-                1..25
-            ),
-        ) {
+    /// Arbitrary interleavings of writes and reads behave like a plain
+    /// in-memory file.
+    #[test]
+    fn pfs_matches_reference_file() {
+        for seed in 0..300 {
+            let mut r = qsim::Pcg32::new(seed);
             let pfs = Pfs::new(PfsConfig::default());
             pfs.create("f");
             let mut reference: Vec<u8> = Vec::new();
-            for (off, len, fill, is_write) in ops {
-                if is_write {
-                    let data = vec![fill; len];
+            for _ in 0..r.range(1, 25) {
+                let (off, len) = (r.index(300_000), r.range(1, 80_000));
+                if r.chance(0.5) {
+                    let data = vec![r.next_u8(); len];
                     pfs.write(Time::ZERO, "f", off, &data);
                     if reference.len() < off + len {
                         reference.resize(off + len, 0);
@@ -291,10 +288,10 @@ mod prop_tests {
                     } else {
                         &[][..]
                     };
-                    prop_assert_eq!(&got[..], expect);
+                    assert_eq!(&got[..], expect, "seed {seed}");
                 }
             }
-            prop_assert_eq!(pfs.len("f"), Some(reference.len()));
+            assert_eq!(pfs.len("f"), Some(reference.len()), "seed {seed}");
         }
     }
 }

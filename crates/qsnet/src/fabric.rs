@@ -1232,61 +1232,62 @@ mod link_tests {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
+/// Seeded property tests: each loops over a fixed seed range.
+#[cfg(test)]
 mod prop_tests {
     use super::*;
-    use proptest::prelude::*;
+    use qsim::Pcg32;
 
-    proptest! {
-        /// Delivery never precedes injection + route latency, and the same
-        /// link never carries two packets at once (tx occupancy is
-        /// monotone).
-        #[test]
-        fn packet_timing_invariants(
-            sizes in proptest::collection::vec(0usize..2048, 1..20),
-            src in 0usize..8,
-            dst in 0usize..8,
-        ) {
-            prop_assume!(src != dst);
+    /// Delivery never precedes injection + route latency, and the same
+    /// link never carries two packets at once (tx occupancy is monotone).
+    #[test]
+    fn packet_timing_invariants() {
+        for seed in 0..1_000 {
+            let mut r = Pcg32::new(seed);
+            let src = r.index(8);
+            let dst = (src + r.range(1, 8)) % 8;
             let f = Fabric::new(FabricConfig::default());
             let cfg = f.config().clone();
             let hops = f.topology().switch_hops(src, dst) as u64;
             let mut last_delivery = Time::ZERO;
             let mut clock = Time::ZERO;
-            for (i, len) in sizes.iter().enumerate() {
+            for i in 0..r.range(1, 20) {
+                let len = r.index(2048);
                 // Interleave immediate and delayed injections.
                 if i % 3 == 0 {
                     clock += Dur::from_ns(500);
                 }
-                let d = f.packet_delivery(0, src, dst, *len, clock);
+                let d = f.packet_delivery(0, src, dst, len, clock);
                 let ser = Dur::for_bytes(len + cfg.packet_overhead, cfg.link_bytes_per_us);
                 // Lower bound: not-before + route + serialization.
-                prop_assert!(
+                assert!(
                     d >= clock + cfg.hop_latency * hops + ser,
-                    "packet {i} delivered too early"
+                    "seed {seed}: packet {i} delivered too early"
                 );
                 // Receiver-side FIFO: in-order delivery per (src, dst).
-                prop_assert!(d >= last_delivery, "packet {i} reordered");
+                assert!(d >= last_delivery, "seed {seed}: packet {i} reordered");
                 last_delivery = d;
             }
         }
+    }
 
-        /// Total wire time of a message stream is conserved: the sum of
-        /// payloads matches the payload stats, and wire bytes include the
-        /// per-packet overhead exactly once per packet.
-        #[test]
-        fn stats_account_every_byte(
-            sizes in proptest::collection::vec(0usize..6000, 1..12),
-        ) {
+    /// Total wire time of a message stream is conserved: the sum of
+    /// payloads matches the payload stats, and wire bytes include the
+    /// per-packet overhead exactly once per packet.
+    #[test]
+    fn stats_account_every_byte() {
+        for seed in 0..1_000 {
+            let mut r = Pcg32::new(seed);
             let f = Fabric::new(FabricConfig::default());
             let cfg = f.config().clone();
             let mut expect_payload = 0u64;
             let mut expect_packets = 0u64;
-            for len in &sizes {
-                expect_payload += *len as u64;
+            for _ in 0..r.range(1, 12) {
+                let len = r.index(6000);
+                expect_payload += len as u64;
                 expect_packets += len.div_ceil(cfg.mtu).max(1) as u64;
                 // Packetize the way the NIC's DMA engine does.
-                let mut remaining = *len;
+                let mut remaining = len;
                 loop {
                     let pkt = remaining.min(cfg.mtu);
                     f.packet_delivery(0, 0, 1, pkt, Time::ZERO);
@@ -1297,11 +1298,12 @@ mod prop_tests {
                 }
             }
             let stats = f.stats();
-            prop_assert_eq!(stats.payload_bytes, expect_payload);
-            prop_assert_eq!(stats.packets, expect_packets);
-            prop_assert_eq!(
+            assert_eq!(stats.payload_bytes, expect_payload, "seed {seed}");
+            assert_eq!(stats.packets, expect_packets, "seed {seed}");
+            assert_eq!(
                 stats.wire_bytes,
-                expect_payload + expect_packets * cfg.packet_overhead as u64
+                expect_payload + expect_packets * cfg.packet_overhead as u64,
+                "seed {seed}"
             );
         }
     }

@@ -116,8 +116,6 @@ impl FatTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
 
     #[test]
     fn qs8a_shape() {
@@ -175,24 +173,20 @@ mod tests {
         FatTree::qs8a().switch_hops(0, 8);
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn hops_symmetric_and_bounded(
-            radix in 2usize..6,
-            nodes in 1usize..100,
-            seed in any::<u64>(),
-        ) {
-            let t = FatTree::new(radix, nodes);
-            let a = (seed as usize) % nodes;
-            let b = (seed as usize / 7919) % nodes;
+    #[test]
+    fn hops_symmetric_and_bounded() {
+        for seed in 0..20_000 {
+            let mut r = qsim::Pcg32::new(seed);
+            let nodes = r.range(1, 100);
+            let t = FatTree::new(r.range(2, 6), nodes);
+            let (a, b) = (r.index(nodes), r.index(nodes));
             let h = t.switch_hops(a, b);
-            prop_assert_eq!(h, t.switch_hops(b, a));
-            prop_assert!(h <= t.diameter());
-            prop_assert_eq!(h == 0, a == b);
-            // hop counts are always odd for distinct nodes (up then down)
+            assert_eq!(h, t.switch_hops(b, a), "seed {seed}");
+            assert!(h <= t.diameter(), "seed {seed}");
+            assert_eq!(h == 0, a == b, "seed {seed}");
+            // Hop counts are always odd for distinct nodes (up then down).
             if a != b {
-                prop_assert_eq!(h % 2, 1);
+                assert_eq!(h % 2, 1, "seed {seed}");
             }
         }
     }

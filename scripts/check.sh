@@ -13,6 +13,11 @@ echo "== tier-1: build + root test suite"
 cargo build --release
 cargo test -q
 
+echo "== perfbench: build + unit tests"
+# The repository benchmark is its own package outside the workspace, so
+# tier-1 never builds it; this catches a core API change that breaks it.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== fault injection: reliability + dynamics/faults test groups"
 cargo test -q --test reliability --test dynamics_and_faults
 

@@ -116,7 +116,7 @@ fn watchdog_stall_dumps_the_flight_recorder() {
     let dump = &demo.flight_dumps[0];
     assert!(dump.contains("\"reason\":\"watchdog stall\""), "{dump}");
     assert!(
-        dump.contains("\"ev\":\"send\""),
+        dump.contains("\"ev\":\"send_posted\""),
         "the rendezvous send that wedged is in the ring: {dump}"
     );
     assert!(

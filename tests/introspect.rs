@@ -67,6 +67,182 @@ fn cvar_registry_reads_defaults_and_validates_writes() {
     });
 }
 
+/// A writable cvar's name, a valid non-default value, and the values its
+/// range rejects, each with the exact error text.
+type WriteRule = (&'static str, CvarValue, Vec<(u64, String)>);
+
+/// How each writable cvar takes writes on a default endpoint; the rejected
+/// values are the boundaries of its range.
+fn write_rules() -> Vec<WriteRule> {
+    use CvarValue::{Bool, U64};
+    let pool = StackConfig::default().flow_bounce_pool as u64;
+    let at_least = |name: &str, min: u64, text: &str| -> Vec<(u64, String)> {
+        (0..min)
+            .map(|v| (v, format!("{name} must be {text}")))
+            .collect()
+    };
+    vec![
+        (
+            "pml.eager_limit",
+            U64(1024),
+            [1985, u64::MAX]
+                .iter()
+                .map(|v| {
+                    let e = format!("pml.eager_limit {v} exceeds the QDMA inline maximum 1984");
+                    (*v, e)
+                })
+                .collect(),
+        ),
+        ("telemetry.metrics", Bool(true), vec![]),
+        ("telemetry.trace", Bool(true), vec![]),
+        ("flight.enable", Bool(false), vec![]),
+        ("watchdog.interval", U64(16), vec![]),
+        (
+            "watchdog.grace",
+            U64(9),
+            at_least("watchdog.grace", 1, ">= 1"),
+        ),
+        (
+            "tcp.retransmit_timeout_ns",
+            U64(123_000),
+            at_least("tcp.retransmit_timeout_ns", 1, "> 0"),
+        ),
+        (
+            "tcp.retransmit_backoff",
+            U64(3),
+            at_least("tcp.retransmit_backoff", 1, ">= 1"),
+        ),
+        ("tcp.max_retries", U64(0), vec![]),
+        ("reg.cache", Bool(false), vec![]),
+        (
+            "reg.cache_bytes",
+            U64(1 << 20),
+            at_least("reg.cache_bytes", 1, "> 0"),
+        ),
+        (
+            "reg.cache_entries",
+            U64(7),
+            at_least("reg.cache_entries", 1, "> 0"),
+        ),
+        ("pipe.enable", Bool(false), vec![]),
+        ("pipe.chunk", U64(4096), at_least("pipe.chunk", 1, "> 0")),
+        ("pipe.depth", U64(2), at_least("pipe.depth", 1, ">= 1")),
+        ("pipe.min_len", U64(0), vec![]),
+        ("flow.enable", Bool(true), vec![]),
+        (
+            "flow.credits",
+            U64(pool),
+            vec![
+                (
+                    0,
+                    "flow.credits must be >= 1 (0 auto-scales at init only)".into(),
+                ),
+                (
+                    pool + 1,
+                    format!(
+                        "flow.credits {} exceeds the bounce pool ({pool} slots)",
+                        pool + 1
+                    ),
+                ),
+            ],
+        ),
+        ("flow.dma_cap", U64(0), vec![]),
+        ("coll.nic_offload", Bool(true), vec![]),
+        (
+            "coll.tree_radix",
+            U64(8),
+            at_least("coll.tree_radix", 2, ">= 2"),
+        ),
+        ("coll.hw_bcast", Bool(false), vec![]),
+        ("timeline.interval_ns", U64(5_000), vec![]),
+    ]
+}
+
+/// Every row of the cvar table, driven from the table itself: defaults
+/// match a fresh default endpoint, read-only rows refuse writes, and each
+/// writable row accepts a valid value, rejects a type mismatch and
+/// rejects every boundary value outside its range with today's exact
+/// text, changing nothing.
+#[test]
+fn every_cvar_row_reads_writes_and_validates() {
+    use openmpi_core::introspect::{cvar_default, CVARS};
+    use openmpi_core::{cvar_read, cvar_write};
+
+    let rules = write_rules();
+    for (name, ..) in &rules {
+        let def = CVARS.iter().find(|d| d.name == *name);
+        assert!(
+            def.is_some_and(|d| d.writable()),
+            "{name} is a writable row"
+        );
+    }
+    let cfg = StackConfig::default();
+    assert_eq!(cvar_default("no.such.cvar"), None);
+    assert_eq!(
+        cvar_default("pml.eager_limit"),
+        Some(CvarValue::U64(cfg.eager_limit as u64))
+    );
+    assert_eq!(
+        cvar_default("timeline.interval_ns"),
+        Some(CvarValue::U64(cfg.timeline_interval.as_ns()))
+    );
+
+    let uni = Universe::paper_testbed(cfg);
+    uni.run_world(1, Placement::RoundRobin, move |mpi| {
+        let ep = mpi.endpoint();
+        // Fresh endpoint: every live value is the row's default.
+        for d in CVARS {
+            let live = cvar_read(ep, d.name).expect("every row reads");
+            assert_eq!(cvar_default(d.name), Some(live), "{} default", d.name);
+        }
+        for d in CVARS {
+            let before = cvar_read(ep, d.name).unwrap();
+            if !d.writable() {
+                assert_eq!(
+                    cvar_write(ep, d.name, before.clone()),
+                    Err(format!("cvar {} is read-only", d.name))
+                );
+                assert_eq!(cvar_read(ep, d.name), Some(before));
+                continue;
+            }
+            let (_, valid, rejected) = rules
+                .iter()
+                .find(|(n, ..)| *n == d.name)
+                .unwrap_or_else(|| panic!("writable cvar {} has no write rule", d.name));
+            let mismatch = match before {
+                CvarValue::Bool(_) => CvarValue::U64(1),
+                _ => CvarValue::Bool(true),
+            };
+            assert_eq!(
+                cvar_write(ep, d.name, mismatch.clone()),
+                Err(format!("cvar {}: type mismatch (got {mismatch:?})", d.name))
+            );
+            for (v, err) in rejected {
+                assert_eq!(
+                    cvar_write(ep, d.name, CvarValue::U64(*v)).as_ref(),
+                    Err(err)
+                );
+            }
+            assert_eq!(
+                cvar_read(ep, d.name),
+                Some(before),
+                "rejected writes change nothing"
+            );
+            cvar_write(ep, d.name, valid.clone()).unwrap();
+            assert_eq!(
+                cvar_read(ep, d.name).as_ref(),
+                Some(valid),
+                "{} reads back",
+                d.name
+            );
+        }
+        // The reg.* rows live in the registration cache itself.
+        let reg = ep.reg.lock();
+        assert!(!reg.enabled());
+        assert_eq!((reg.cap_bytes(), reg.cap_entries()), (1 << 20, 7));
+    });
+}
+
 /// Writing `pml.eager_limit` mid-run changes protocol selection for the
 /// very next send: the same message length goes eager before the write and
 /// rendezvous after it.
